@@ -6,20 +6,15 @@
 // paper's Figs. 2d/3d report end-to-end generation time; these break it
 // down).
 //
-// Built two ways: against Google Benchmark when the library is present
-// (full statistical harness), otherwise with a plain main() that times a
-// fixed iteration count per kernel — so the binary always exists, always
-// runs in CI smoke, and the kernels cannot bit-rot behind a missing
-// dependency.
+// Requires Google Benchmark; bench/CMakeLists.txt skips this binary when
+// the library is missing.
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <memory>
-#include <string>
 #include <thread>
 #include <vector>
+
+#include <benchmark/benchmark.h>
 
 #include "corpus/generator.h"
 #include "corpus/workload.h"
@@ -33,7 +28,6 @@
 #include "toppriv/ghost_generator.h"
 #include "util/filesystem.h"
 #include "util/metrics.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace {
@@ -272,14 +266,6 @@ uint64_t KernelLdaInference(const topicmodel::LdaInferencer& inferencer,
   return inferencer.InferQuery(q.term_ids).size();
 }
 
-}  // namespace
-
-#ifdef TOPPRIV_HAVE_BENCHMARK
-
-#include <benchmark/benchmark.h>
-
-namespace {
-
 void BM_IndexBuild(benchmark::State& state) {
   const auto& world = World();
   for (auto _ : state) {
@@ -472,140 +458,3 @@ BENCHMARK(BM_GibbsTrainingSweep)->Arg(50)->Arg(200)
 }  // namespace
 
 BENCHMARK_MAIN();
-
-#else  // !TOPPRIV_HAVE_BENCHMARK
-
-#include "util/io.h"
-#include "util/json.h"
-
-namespace {
-
-struct KernelResult {
-  std::string name;
-  double ns_per_op = 0.0;
-  size_t iters = 0;
-};
-
-std::vector<KernelResult>& Results() {
-  static std::vector<KernelResult>* results = new std::vector<KernelResult>();
-  return *results;
-}
-
-/// Poor-man's harness: runs `fn` `iters` times, prints mean ns/op. No
-/// statistics, no warmup sophistication — enough to smoke the kernels and
-/// eyeball regressions where Google Benchmark is unavailable.
-template <typename Fn>
-void RunKernel(const char* name, size_t iters, Fn&& fn) {
-  uint64_t sink = 0;
-  // One untimed warmup iteration (first touch builds lazy state).
-  sink += fn();
-  util::WallTimer timer;
-  for (size_t i = 0; i < iters; ++i) sink += fn();
-  double ns = timer.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
-  std::printf("%-28s %10.0f ns/op   (iters=%zu, sink=%llu)\n", name, ns,
-              iters, static_cast<unsigned long long>(sink));
-  Results().push_back({name, ns, iters});
-}
-
-// Writes the run in Google Benchmark's --benchmark_out=json shape (a
-// "benchmarks" array of {name, real_time, time_unit} objects) so
-// tools/bench_compare.py reads either harness's sidecar identically.
-void WriteJson(const std::string& path) {
-  util::JsonWriter w;
-  w.BeginObject();
-  w.Key("context");
-  w.BeginObject();
-  w.Field("harness", "fallback");
-  // Bumped when the emitted cell set changes; bench_compare.py warns
-  // (never fails) when baseline and current disagree.
-  w.Field("schema_version", static_cast<uint64_t>(2));
-  w.EndObject();
-  w.Key("benchmarks");
-  w.BeginArray();
-  for (const KernelResult& r : Results()) {
-    w.BeginObject();
-    w.Field("name", r.name);
-    w.Field("run_type", "iteration");
-    w.Field("iterations", static_cast<uint64_t>(r.iters));
-    w.Field("real_time", r.ns_per_op);
-    w.Field("cpu_time", r.ns_per_op);
-    w.Field("time_unit", "ns");
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  util::Status status = util::WriteFile(path, w.str());
-  if (!status.ok()) {
-    std::fprintf(stderr, "micro_bench: writing %s failed: %s\n", path.c_str(),
-                 status.ToString().c_str());
-  }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
-  std::printf(
-      "micro_bench fallback harness (Google Benchmark not found at build "
-      "time)\n\n");
-  const auto& world = World();
-
-  RunKernel("IndexBuild", 5, [] { return KernelIndexBuild(); });
-  RunKernel("PostingIteratorScan", 2000,
-            [] { return KernelPostingIteratorScan(); });
-  RunKernel("PostingBlockDecode", 2000,
-            [] { return KernelPostingBlockDecode(); });
-  RunKernel("LiveIngest/batch1", 3, [] { return KernelLiveIngest(1); });
-  RunKernel("LiveIngest/batch16", 3, [] { return KernelLiveIngest(16); });
-  RunKernel("LiveIngest/batch128", 3, [] { return KernelLiveIngest(128); });
-  RunKernel("SegmentMerge", 3, [] { return KernelSegmentMerge(); });
-  RunKernel("WalAppend/sync1", 50, [] { return KernelWalAppend(1); });
-  RunKernel("WalAppend/sync16", 50, [] { return KernelWalAppend(16); });
-  RunKernel("WalAppend/syncEnd", 50, [] { return KernelWalAppend(0); });
-  RunKernel("LiveRefresh/idle64", 10, [] { return KernelIdleRefresh(64); });
-  RunKernel("LiveRefresh/idle256", 5, [] { return KernelIdleRefresh(256); });
-  RunKernel("WalGroupCommit/threads1", 10,
-            [] { return KernelWalGroupCommit(1); });
-  RunKernel("WalGroupCommit/threads4", 10,
-            [] { return KernelWalGroupCommit(4); });
-
-  {
-    search::SearchEngine engine(world.corpus, world.index,
-                                search::MakeBm25Scorer());
-    size_t qi = 0;
-    RunKernel("QueryEvaluation/taat", 2000,
-              [&] { return KernelQueryEvaluation(engine, &qi); });
-  }
-  {
-    search::SearchEngine engine(world.corpus, world.index,
-                                search::MakeBm25Scorer(),
-                                search::EvalStrategy::kMaxScore);
-    size_t qi = 0;
-    RunKernel("QueryEvaluation/maxscore", 2000,
-              [&] { return KernelQueryEvaluation(engine, &qi); });
-  }
-  RunKernel("MetricsCounter", 200, [] { return KernelMetricsCounter(); });
-  {
-    search::SearchEngine engine(world.corpus, world.index,
-                                search::MakeBm25Scorer(),
-                                search::EvalStrategy::kMaxScore);
-    size_t qi = 0;
-    RunKernel("InstrumentedQuery", 2000,
-              [&] { return KernelInstrumentedQuery(engine, &qi); });
-  }
-  {
-    topicmodel::LdaInferencer inferencer(world.model);
-    size_t qi = 0;
-    RunKernel("LdaInference", 200,
-              [&] { return KernelLdaInference(inferencer, &qi); });
-  }
-  if (!json_path.empty()) WriteJson(json_path);
-  return 0;
-}
-
-#endif  // TOPPRIV_HAVE_BENCHMARK

@@ -5,9 +5,10 @@
 //
 // The grid sweeps evaluation strategy × shard count × driver threads:
 // strategy ∈ {taat, maxscore} (the PostingList-block MaxScore evaluator vs
-// classic term-at-a-time), K ∈ {1, 2, 4} index shards (K = 1 is the
-// monolithic SearchEngine, K > 1 a driver-shared ShardedSearchEngine
-// fleet) at 1, 4 and hardware-concurrency worker threads. Session digests
+// classic term-at-a-time), K ∈ {1, 2, 4} index shards (K = 1 is a
+// one-part SearchEngine over the monolithic index, K > 1 a driver-shared
+// engine over the shard fleet) at 1, 4 and hardware-concurrency worker
+// threads. Session digests
 // must be identical across EVERY cell — strategies AND thread counts AND
 // shard counts — which is the serving-layer face of the bit-parity
 // invariant.
@@ -17,8 +18,8 @@
 // loop, isolating the evaluator speedup the tentpole targets (in the
 // session phase, ghost generation shares the wall clock and dilutes it).
 //
-// A third, mixed read/write phase runs the session fleet over a
-// LiveSearchEngine while a writer thread streams the rest of the corpus
+// A third, mixed read/write phase runs the session fleet over a live
+// SearchEngine while a writer thread streams the rest of the corpus
 // into the LiveIndex (TOPPRIV_LIVE_INGEST = fraction ingested up-front,
 // default 0.5) with background merges on a shared pool — the dynamic
 // corpus under live query load the static engines cannot model. Mid-run
@@ -46,7 +47,6 @@
 #include "experiments/fixture.h"
 #include "index/live/live_index.h"
 #include "search/engine.h"
-#include "search/live_engine.h"
 #include "search/scorer.h"
 #include "serving/session_driver.h"
 #include "topicmodel/inference.h"
@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------- mixed read/write phase --
-  // Sessions serve over a LiveSearchEngine while a writer streams the
+  // Sessions serve over a live SearchEngine while a writer streams the
   // remaining corpus in; background merges run on a shared two-worker
   // pool. After convergence the live replay digest must equal the static
   // K=1 replay digest of the same strategy, bit for bit.
@@ -321,19 +321,13 @@ int main(int argc, char** argv) {
       live_options.merge_pool = &merge_pool;
       std::unique_ptr<index::live::LiveIndex> live =
           fixture.MakeLiveIndex(upfront_fraction, live_options);
-      // The engine's per-query segment fan-out needs its own pool: driver
-      // workers BLOCK inside ParallelFor, so handing them the driver's (or
-      // merge) pool would deadlock. Declared before the engine so it
-      // outlives it. Parity is unaffected — the fan-out is bit-identical
-      // to the sequential scatter by the determinism argument in
-      // live_engine.h, and the convergence digest below proves it per run.
-      std::unique_ptr<util::ThreadPool> eval_pool;
-      if (live_eval_threads > 1) {
-        eval_pool = std::make_unique<util::ThreadPool>(live_eval_threads);
-      }
-      search::LiveSearchEngine engine(fixture.corpus(), *live,
-                                      search::MakeBm25Scorer(), strategy,
-                                      eval_pool.get());
+      // The per-query segment fan-out runs on the engine's private pool.
+      // Parity is unaffected — the fan-out is bit-identical to the
+      // sequential scatter (see search/engine.h), and the convergence
+      // digest below proves it per run.
+      search::SearchEngine engine(fixture.corpus(), *live,
+                                  search::MakeBm25Scorer(), strategy,
+                                  live_eval_threads);
 
       LiveCell cell;
       cell.strategy = strategy;

@@ -1,5 +1,5 @@
-// Hostile-input fuzzing of the posting-list wire decoder (block format and
-// the legacy interleaved v0 layout it still accepts). Properties checked:
+// Hostile-input fuzzing of the posting-list wire decoder (the tagged block
+// format; any other header is rejected). Properties checked:
 //  1. DecodeFrom never crashes, loops or reads out of bounds on arbitrary
 //     bytes (the sanitizers catch violations);
 //  2. anything it ACCEPTS round-trips canonically: re-encoding the decoded

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "search/sharded_engine.h"
-
 #include "util/check.h"
 #include "util/filesystem.h"
 #include "util/hash.h"
@@ -189,9 +187,9 @@ std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(
     return std::make_unique<search::SearchEngine>(corpus(), index(),
                                                   std::move(scorer), eval);
   }
-  return std::make_unique<search::ShardedSearchEngine>(
-      corpus(), sharded_index(num_shards), std::move(scorer), shard_threads,
-      eval);
+  return std::make_unique<search::SearchEngine>(
+      corpus(), sharded_index(num_shards), std::move(scorer), eval,
+      shard_threads);
 }
 
 std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(

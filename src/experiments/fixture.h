@@ -52,9 +52,9 @@ struct FixtureConfig {
   corpus::WorkloadParams workload_params;
   size_t lda_iterations = 100;
   std::string cache_dir = ".toppriv_cache";
-  /// Index shards MakeEngine uses; 1 builds the monolithic SearchEngine.
+  /// Index shards MakeEngine uses; 1 builds a one-part (monolithic) engine.
   size_t num_shards = 1;
-  /// Shard fan-out threads for MakeEngine's sharded engine (1 = sequential
+  /// Fan-out threads for MakeEngine's sharded engine (1 = sequential
   /// scatter on the caller's thread; 0 = hardware concurrency).
   size_t shard_threads = 1;
   /// Query evaluation strategy MakeEngine wires into the engine
@@ -67,9 +67,8 @@ struct FixtureConfig {
   double live_ingest_upfront = 0.5;
   /// Per-query segment fan-out threads for live-serving benches
   /// (TOPPRIV_LIVE_EVAL_THREADS; 1 = sequential scatter on the caller's
-  /// thread, 0 = hardware concurrency). Consumers size the dedicated
-  /// LiveSearchEngine eval pool from this — the pool must be distinct
-  /// from any pool whose workers issue the queries.
+  /// thread, 0 = hardware concurrency). Consumers pass it as the live
+  /// SearchEngine's `num_threads`; the engine owns the pool.
   size_t live_eval_threads = 1;
   /// WAL sync discipline for MakeLiveIndex indexes (TOPPRIV_DURABILITY:
   /// off | batch | refresh | manual). Unset = in-memory, as before; set,
@@ -120,9 +119,10 @@ class ExperimentFixture {
       double upfront_fraction,
       index::live::LiveIndexOptions options = index::live::LiveIndexOptions());
 
-  /// Builds a query engine over the fixture corpus: the monolithic
-  /// SearchEngine when `num_shards` <= 1, a ShardedSearchEngine otherwise
-  /// (with `shard_threads` fan-out workers; 1 = sequential scatter).
+  /// Builds a query engine over the fixture corpus: a SearchEngine over
+  /// index() when `num_shards` <= 1, over sharded_index(num_shards)
+  /// otherwise (with `shard_threads` fan-out workers; 1 = sequential
+  /// scatter).
   /// `strategy` overrides the config's evaluation strategy when set. Every
   /// figure bench that takes its engine from here runs sharded by setting
   /// TOPPRIV_SHARDS (and MaxScore by setting TOPPRIV_EVAL_STRATEGY) —

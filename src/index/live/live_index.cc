@@ -20,11 +20,9 @@ namespace {
 /// — hence a cap instead of the usual remaining()-derived bound.)
 constexpr uint64_t kMaxManifestTerms = uint64_t{1} << 24;
 
-/// Serialize leads with this format tag. Tags live ABOVE the u32 range so
-/// a tagged blob is unmistakable from the legacy (PR 5) layout, whose
-/// first varint is a num_terms capped far below 2^32 — the same
-/// discrimination trick the posting-list block format uses. Low 32 bits
-/// carry the version.
+/// Serialize leads with this format tag; Deserialize rejects any other
+/// leading varint (an untagged blob included). Low 32 bits carry the
+/// version.
 constexpr uint64_t kLiveManifestTag = (uint64_t{1} << 32) | 1;
 
 }  // namespace
@@ -735,18 +733,13 @@ std::string LiveIndex::SerializeLocked() const {
 util::StatusOr<std::unique_ptr<LiveIndex>> LiveIndex::Deserialize(
     const std::string& bytes, LiveIndexOptions options) {
   util::BinaryReader r(bytes);
-  uint64_t num_terms = 0, next_stable = 0, num_segments = 0;
-  // Format discrimination: a tagged blob leads with a varint above the u32
-  // range; a legacy (PR 5, pre-tag) blob leads with num_terms, capped at
-  // kMaxManifestTerms — far below 2^32 — so the two can never collide.
-  TOPPRIV_RETURN_IF_ERROR(r.ReadVarint(&num_terms));
-  if (num_terms > UINT32_MAX) {
-    if (num_terms != kLiveManifestTag) {
-      return util::Status::DataLoss(
-          "live manifest format version not understood");
-    }
-    TOPPRIV_RETURN_IF_ERROR(r.ReadVarint(&num_terms));
+  uint64_t tag = 0, num_terms = 0, next_stable = 0, num_segments = 0;
+  TOPPRIV_RETURN_IF_ERROR(r.ReadVarint(&tag));
+  if (tag != kLiveManifestTag) {
+    return util::Status::DataLoss(
+        "live manifest format version not understood");
   }
+  TOPPRIV_RETURN_IF_ERROR(r.ReadVarint(&num_terms));
   TOPPRIV_RETURN_IF_ERROR(r.ReadVarint(&next_stable));
   TOPPRIV_RETURN_IF_ERROR(r.ReadVarint(&num_segments));
   if (num_terms > kMaxManifestTerms) {

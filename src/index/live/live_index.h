@@ -140,7 +140,7 @@ class IndexSnapshot {
   /// Version of the global df / collection statistics this snapshot was
   /// built from. Bumped by every df-changing mutation (seal, delete,
   /// term-space growth), NOT by df-neutral ones (merge commits). Consumers
-  /// caching anything derived from the stats — e.g. LiveSearchEngine's
+  /// caching anything derived from the stats — e.g. the live SearchEngine's
   /// per-segment impact-bound tables — key the cache on this and discard
   /// when it moves.
   uint64_t df_version() const { return df_version_; }

@@ -9,10 +9,9 @@ namespace toppriv::index {
 
 namespace {
 
-/// Wire-format tag for the v1 block layout. It sits above the 32-bit count
-/// space, so it can never collide with a legacy v0 header (whose first
-/// varint is the posting count, a uint32): DecodeFrom reads one varint and
-/// knows which format follows. Future revisions bump the low bits.
+/// Wire-format tag for the block layout, the first varint of every encoded
+/// list; DecodeFrom rejects any other value. Future revisions bump the low
+/// bits.
 constexpr uint64_t kBlockFormatTag = (uint64_t{1} << 32) | 1;
 
 /// Unchecked LEB128 decode over raw bytes for the block hot path. Only ever
@@ -230,18 +229,12 @@ util::StatusOr<PostingList> PostingList::DecodeFrom(
     return util::Status::DataLoss("posting list header overrun");
   }
 
-  if (head > UINT32_MAX && head != kBlockFormatTag) {
+  if (head != kBlockFormatTag) {
     return util::Status::DataLoss("unsupported posting list format");
   }
-  const bool v1 = (head == kBlockFormatTag);
-
   uint64_t count = 0;
-  if (v1) {
-    if (!util::DecodeVarint(buf, pos, &count) || count > UINT32_MAX) {
-      return util::Status::DataLoss("posting list header overrun");
-    }
-  } else {
-    count = head;  // legacy v0: the first varint IS the count
+  if (!util::DecodeVarint(buf, pos, &count) || count > UINT32_MAX) {
+    return util::Status::DataLoss("posting list header overrun");
   }
   uint64_t nbytes = 0;
   if (!util::DecodeVarint(buf, pos, &nbytes)) {
@@ -256,74 +249,46 @@ util::StatusOr<PostingList> PostingList::DecodeFrom(
   if (nbytes > UINT32_MAX) {
     return util::Status::DataLoss("posting list body overflows u32 offsets");
   }
-  const std::string body = buf.substr(*pos, nbytes);
+  // One validating scan over the grouped layout builds the directory as a
+  // side effect; hostile bytes never reach the unchecked block decoder.
+  PostingList list;
+  list.count_ = static_cast<uint32_t>(count);
+  list.bytes_ = buf.substr(*pos, nbytes);
   *pos += nbytes;
-
   BodyValidator check{max_doc_exclusive};
-
-  if (v1) {
-    // One validating scan over the grouped layout builds the directory as a
-    // side effect; hostile bytes never reach the unchecked block decoder.
-    PostingList list;
-    list.count_ = static_cast<uint32_t>(count);
-    list.bytes_ = body;
-    size_t body_pos = 0;
-    uint64_t decoded = 0;
-    while (decoded < count) {
-      const uint32_t n = static_cast<uint32_t>(
-          std::min<uint64_t>(kPostingBlockSize, count - decoded));
-      BlockInfo info;
-      info.offset = static_cast<uint32_t>(body_pos);
-      info.count = n;
-      for (uint32_t i = 0; i < n; ++i) {
-        uint64_t delta = 0;
-        if (!util::DecodeVarint(list.bytes_, &body_pos, &delta)) {
-          return util::Status::DataLoss("posting list body malformed");
-        }
-        TOPPRIV_RETURN_IF_ERROR(check.CheckDelta(delta));
-        if (i == 0) info.first_doc = static_cast<corpus::DocId>(check.doc);
-      }
-      info.last_doc = static_cast<corpus::DocId>(check.doc);
-      for (uint32_t i = 0; i < n; ++i) {
-        uint64_t tf = 0;
-        if (!util::DecodeVarint(list.bytes_, &body_pos, &tf)) {
-          return util::Status::DataLoss("posting list body malformed");
-        }
-        TOPPRIV_RETURN_IF_ERROR(check.CheckTf(tf));
-        info.max_tf = std::max(info.max_tf, static_cast<uint32_t>(tf));
-      }
-      list.list_max_tf_ = std::max(list.list_max_tf_, info.max_tf);
-      list.blocks_.push_back(info);
-      decoded += n;
-    }
-    if (body_pos != list.bytes_.size()) {
-      return util::Status::DataLoss("posting list count mismatch");
-    }
-    return list;
-  }
-
-  // Legacy v0: interleaved (delta, tf) pairs. Validate with the same
-  // discipline, then transcode into the block layout through the Builder
-  // (validation makes its CHECKs unreachable for hostile input).
   size_t body_pos = 0;
-  uint64_t pairs = 0;
-  Builder builder;
-  while (body_pos < body.size()) {
-    uint64_t delta = 0, tf = 0;
-    if (!util::DecodeVarint(body, &body_pos, &delta) ||
-        !util::DecodeVarint(body, &body_pos, &tf)) {
-      return util::Status::DataLoss("posting list body malformed");
+  uint64_t decoded = 0;
+  while (decoded < count) {
+    const uint32_t n = static_cast<uint32_t>(
+        std::min<uint64_t>(kPostingBlockSize, count - decoded));
+    BlockInfo info;
+    info.offset = static_cast<uint32_t>(body_pos);
+    info.count = n;
+    for (uint32_t i = 0; i < n; ++i) {
+      uint64_t delta = 0;
+      if (!util::DecodeVarint(list.bytes_, &body_pos, &delta)) {
+        return util::Status::DataLoss("posting list body malformed");
+      }
+      TOPPRIV_RETURN_IF_ERROR(check.CheckDelta(delta));
+      if (i == 0) info.first_doc = static_cast<corpus::DocId>(check.doc);
     }
-    TOPPRIV_RETURN_IF_ERROR(check.CheckDelta(delta));
-    TOPPRIV_RETURN_IF_ERROR(check.CheckTf(tf));
-    builder.Append(static_cast<corpus::DocId>(check.doc),
-                   static_cast<uint32_t>(tf));
-    ++pairs;
+    info.last_doc = static_cast<corpus::DocId>(check.doc);
+    for (uint32_t i = 0; i < n; ++i) {
+      uint64_t tf = 0;
+      if (!util::DecodeVarint(list.bytes_, &body_pos, &tf)) {
+        return util::Status::DataLoss("posting list body malformed");
+      }
+      TOPPRIV_RETURN_IF_ERROR(check.CheckTf(tf));
+      info.max_tf = std::max(info.max_tf, static_cast<uint32_t>(tf));
+    }
+    list.list_max_tf_ = std::max(list.list_max_tf_, info.max_tf);
+    list.blocks_.push_back(info);
+    decoded += n;
   }
-  if (pairs != count) {
+  if (body_pos != list.bytes_.size()) {
     return util::Status::DataLoss("posting list count mismatch");
   }
-  return builder.Build();
+  return list;
 }
 
 }  // namespace toppriv::index

@@ -144,15 +144,14 @@ class PostingList {
   /// Decodes the whole list (convenience for tests / scoring).
   std::vector<Posting> Decode() const;
 
-  /// Serialization. EncodeTo writes the versioned block format (a format
-  /// tag above the 32-bit count space keeps it distinguishable from legacy
-  /// headers); DecodeFrom additionally accepts the legacy interleaved v0
-  /// format, so pre-block blobs keep loading. Either way the body is
-  /// validated structurally before anything can iterate it — exact posting
-  /// count, strictly increasing doc ids accumulated in 64 bits (wrapped
-  /// hostile deltas cannot sneak back into range), nonzero u32 tfs, every
-  /// doc id below `max_doc_exclusive` — and the block directory is rebuilt
-  /// during that same validation pass, never trusted from the wire.
+  /// Serialization. EncodeTo writes the versioned block format, led by a
+  /// format tag; DecodeFrom rejects any other header with DataLoss. The
+  /// body is validated structurally before anything can iterate it — exact
+  /// posting count, strictly increasing doc ids accumulated in 64 bits
+  /// (wrapped hostile deltas cannot sneak back into range), nonzero u32
+  /// tfs, every doc id below `max_doc_exclusive` — and the block directory
+  /// is rebuilt during that same validation pass, never trusted from the
+  /// wire.
   void EncodeTo(std::string* out) const;
   static util::StatusOr<PostingList> DecodeFrom(
       const std::string& buf, size_t* pos,

@@ -5,8 +5,12 @@
 #include <cstring>
 #include <limits>
 
+#include "index/live/live_index.h"
+#include "index/sharded_index.h"
 #include "util/check.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
+#include "util/trace.h"
 
 namespace toppriv::search {
 
@@ -545,45 +549,147 @@ std::vector<ScoredDoc> EvaluateTopK(EvalStrategy strategy,
                         deadline);
 }
 
-util::StatusOr<std::vector<ScoredDoc>> QueryEngine::EvaluateWithOptions(
-    const std::vector<text::TermId>& terms, size_t k,
-    const QueryOptions& options) const {
-  // Coarse default for engines without an internal poll point: bracket the
-  // whole evaluation with expiry checks. The result of an expired call is
-  // always discarded — even when Evaluate happened to finish — so the
-  // accept/reject decision is a pure function of the deadline, not of how
-  // fast this particular engine ran relative to the check sites.
-  if (options.deadline != nullptr && options.deadline->Expired()) {
+namespace {
+
+/// The deadline bracket shared by every EvaluateWithOptions: expiry checks
+/// before and after `evaluate`. The result of an expired call is always
+/// discarded — even when the evaluation happened to finish — so the
+/// accept/reject decision is a pure function of the deadline, not of how
+/// fast the evaluation ran relative to the check sites.
+template <typename Fn>
+util::StatusOr<std::vector<ScoredDoc>> WithinDeadline(
+    const util::Deadline* deadline, const Fn& evaluate) {
+  if (deadline != nullptr && deadline->Expired()) {
     TOPPRIV_COUNTER_INC("search.deadline_exceeded");
     return util::Status::DeadlineExceeded("query deadline expired");
   }
-  std::vector<ScoredDoc> results = Evaluate(terms, k);
-  if (options.deadline != nullptr && options.deadline->Expired()) {
+  std::vector<ScoredDoc> results = evaluate();
+  if (deadline != nullptr && deadline->Expired()) {
     TOPPRIV_COUNTER_INC("search.deadline_exceeded");
     return util::Status::DeadlineExceeded("query deadline expired");
   }
   return results;
 }
 
+}  // namespace
+
+util::StatusOr<std::vector<ScoredDoc>> QueryEngine::EvaluateWithOptions(
+    const std::vector<text::TermId>& terms, size_t k,
+    const QueryOptions& options) const {
+  // Coarse default for engines without an internal poll point.
+  return WithinDeadline(options.deadline, [&] { return Evaluate(terms, k); });
+}
+
+SearchEngine::SearchEngine(const corpus::Corpus& corpus,
+                           std::unique_ptr<Scorer> scorer,
+                           EvalStrategy strategy, size_t num_threads)
+    : corpus_(corpus), scorer_(std::move(scorer)), strategy_(strategy) {
+  TOPPRIV_CHECK(scorer_ != nullptr);
+  if (num_threads == 0) num_threads = util::ThreadPool::HardwareConcurrency();
+  if (num_threads > 1) pool_ = std::make_unique<util::ThreadPool>(num_threads);
+}
+
 SearchEngine::SearchEngine(const corpus::Corpus& corpus,
                            const index::InvertedIndex& index,
                            std::unique_ptr<Scorer> scorer,
                            EvalStrategy strategy)
-    : corpus_(corpus),
-      index_(index),
-      scorer_(std::move(scorer)),
-      stats_(CollectionStats::Of(index)) {
-  TOPPRIV_CHECK(scorer_ != nullptr);
-  set_eval_strategy(strategy);
+    : SearchEngine(corpus, std::move(scorer), strategy, /*num_threads=*/1) {
+  view_.stats = CollectionStats::Of(index);
+  view_.parts.push_back(Part{&index, nullptr, 0, nullptr, nullptr});
+  BuildStaticBounds();
 }
 
-void SearchEngine::set_eval_strategy(EvalStrategy strategy) {
-  util::MutexLock lock(&strategy_mu_);
-  strategy_ = strategy;
-  if (strategy == EvalStrategy::kMaxScore && term_bounds_ == nullptr) {
-    term_bounds_ = std::make_shared<const std::vector<double>>(
-        ComputeTermImpactBounds(index_, stats_, *scorer_));
+SearchEngine::SearchEngine(const corpus::Corpus& corpus,
+                           const index::ShardedIndex& index,
+                           std::unique_ptr<Scorer> scorer,
+                           EvalStrategy strategy, size_t num_threads)
+    : SearchEngine(corpus, std::move(scorer), strategy, num_threads) {
+  TOPPRIV_CHECK_GE(index.num_shards(), 1u);
+  view_.stats.num_documents = index.num_documents();
+  view_.stats.avg_doc_length = index.avg_doc_length();
+  view_.stats.total_tokens = index.total_tokens();
+  view_.global_df = &index.manifest().global_df;
+  for (size_t s = 0; s < index.num_shards(); ++s) {
+    view_.parts.push_back(Part{&index.shard(s), nullptr,
+                               index.manifest().ranges[s].begin, nullptr,
+                               nullptr});
   }
+  BuildStaticBounds();
+}
+
+SearchEngine::SearchEngine(const corpus::Corpus& corpus,
+                           const index::live::LiveIndex& live,
+                           std::unique_ptr<Scorer> scorer,
+                           EvalStrategy strategy, size_t num_threads)
+    : SearchEngine(corpus, std::move(scorer), strategy, num_threads) {
+  live_ = &live;
+}
+
+SearchEngine::~SearchEngine() = default;
+
+void SearchEngine::BuildStaticBounds() {
+  if (strategy_ != EvalStrategy::kMaxScore) return;
+  // Priced with the view's df — a shard-local df would produce bounds
+  // below real contributions and break the pruning-safety argument.
+  static_bounds_.reserve(view_.parts.size());
+  for (const Part& part : view_.parts) {
+    static_bounds_.push_back(ComputeTermImpactBounds(
+        *part.index, view_.stats, *scorer_, view_.global_df));
+  }
+  for (size_t p = 0; p < view_.parts.size(); ++p) {
+    view_.parts[p].term_bounds = &static_bounds_[p];
+  }
+}
+
+std::vector<std::shared_ptr<const std::vector<double>>>
+SearchEngine::SegmentBounds(const index::live::IndexSnapshot& snapshot,
+                            const CollectionStats& stats) const {
+  const size_t n = snapshot.num_segments();
+  std::vector<std::shared_ptr<const std::vector<double>>> tables(n);
+  std::shared_ptr<const BoundsCache> cache;
+  {
+    util::MutexLock lock(&bounds_mu_);
+    cache = bounds_cache_;
+  }
+  // A cache generation is usable only at the exact df-version it was
+  // computed at. Segment identity is the second key — a merge creates new
+  // segments without bumping the version, so its outputs miss here and
+  // compute.
+  const bool cache_current =
+      cache != nullptr && cache->df_version == snapshot.df_version();
+  bool computed = false;
+  for (size_t s = 0; s < n; ++s) {
+    const index::live::SnapshotSegment& ss = snapshot.segment(s);
+    if (cache_current) {
+      for (const auto& [segment, table] : cache->tables) {
+        if (segment.get() == ss.segment.get()) {
+          tables[s] = table;
+          break;
+        }
+      }
+    }
+    if (tables[s] == nullptr) {
+      tables[s] = std::make_shared<const std::vector<double>>(
+          ComputeTermImpactBounds(ss.segment->index(), stats, *scorer_,
+                                  &snapshot.global_df()));
+      computed = true;
+    }
+  }
+  if (computed &&
+      (cache == nullptr || snapshot.df_version() >= cache->df_version)) {
+    // Publish this snapshot's full table set (last writer wins; an
+    // EvaluateOn against an OLD pinned snapshot never clobbers a newer
+    // cache thanks to the version guard).
+    auto fresh = std::make_shared<BoundsCache>();
+    fresh->df_version = snapshot.df_version();
+    fresh->tables.reserve(n);
+    for (size_t s = 0; s < n; ++s) {
+      fresh->tables.emplace_back(snapshot.segment(s).segment, tables[s]);
+    }
+    util::MutexLock lock(&bounds_mu_);
+    bounds_cache_ = std::move(fresh);
+  }
+  return tables;
 }
 
 std::vector<ScoredDoc> SearchEngine::Search(
@@ -594,64 +700,104 @@ std::vector<ScoredDoc> SearchEngine::Search(
 
 std::vector<ScoredDoc> SearchEngine::Evaluate(
     const std::vector<text::TermId>& terms, size_t k) const {
-  static thread_local EvalScratch scratch;
-  return Evaluate(terms, k, &scratch);
-}
-
-std::vector<ScoredDoc> SearchEngine::Evaluate(
-    const std::vector<text::TermId>& terms, size_t k,
-    EvalScratch* scratch) const {
-  if (terms.empty() || k == 0) return {};
-  // Snapshot the strategy knob and its (immutable) bound table under the
-  // lock; evaluation itself runs lock-free on the snapshot, so a
-  // concurrent set_eval_strategy can never expose a half-written pair.
-  EvalStrategy strategy;
-  std::shared_ptr<const std::vector<double>> bounds;
-  {
-    util::MutexLock lock(&strategy_mu_);
-    strategy = strategy_;
-    bounds = term_bounds_;
-  }
-  std::vector<QueryTerm> query = CollapseQuery(terms);
-  std::vector<uint32_t> dfs(query.size());
-  for (size_t qi = 0; qi < query.size(); ++qi) {
-    dfs[qi] = index_.DocFreq(query[qi].term);
-  }
-  return EvaluateTopK(strategy, index_, stats_, *scorer_, query, dfs, k,
-                      scratch, bounds == nullptr ? nullptr : bounds.get());
+  return Run(terms, k, /*deadline=*/nullptr);
 }
 
 util::StatusOr<std::vector<ScoredDoc>> SearchEngine::EvaluateWithOptions(
     const std::vector<text::TermId>& terms, size_t k,
     const QueryOptions& options) const {
-  const util::Deadline* deadline = options.deadline;
-  if (deadline != nullptr && deadline->Expired()) {
-    TOPPRIV_COUNTER_INC("search.deadline_exceeded");
-    return util::Status::DeadlineExceeded("query deadline expired");
+  return WithinDeadline(options.deadline,
+                        [&] { return Run(terms, k, options.deadline); });
+}
+
+std::vector<ScoredDoc> SearchEngine::Run(const std::vector<text::TermId>& terms,
+                                         size_t k,
+                                         const util::Deadline* deadline) const {
+  if (live_ != nullptr) {
+    return EvaluateOn(*live_->Acquire(), terms, k, deadline);
   }
-  if (terms.empty() || k == 0) return std::vector<ScoredDoc>{};
-  EvalStrategy strategy;
-  std::shared_ptr<const std::vector<double>> bounds;
-  {
-    util::MutexLock lock(&strategy_mu_);
-    strategy = strategy_;
-    bounds = term_bounds_;
+  return EvaluateView(view_, terms, k, deadline);
+}
+
+std::vector<ScoredDoc> SearchEngine::EvaluateOn(
+    const index::live::IndexSnapshot& snapshot,
+    const std::vector<text::TermId>& terms, size_t k,
+    const util::Deadline* deadline) const {
+  if (terms.empty() || k == 0) return {};
+  // The live view: the snapshot's global live statistics and df, one part
+  // per segment with its tombstones and dense-id remap.
+  View view;
+  view.stats.num_documents = snapshot.num_documents();
+  view.stats.avg_doc_length = snapshot.avg_doc_length();
+  view.stats.total_tokens = snapshot.total_tokens();
+  view.global_df = &snapshot.global_df();
+  std::vector<std::shared_ptr<const std::vector<double>>> bounds;
+  if (strategy_ == EvalStrategy::kMaxScore) {
+    bounds = SegmentBounds(snapshot, view.stats);
   }
-  std::vector<QueryTerm> query = CollapseQuery(terms);
+  view.parts.reserve(snapshot.num_segments());
+  for (size_t s = 0; s < snapshot.num_segments(); ++s) {
+    const index::live::SnapshotSegment& ss = snapshot.segment(s);
+    view.parts.push_back(Part{&ss.segment->index(), ss.deleted.get(),
+                              ss.dense_base, ss.deleted_before.get(),
+                              bounds.empty() ? nullptr : bounds[s].get()});
+  }
+  return EvaluateView(view, terms, k, deadline);
+}
+
+std::vector<ScoredDoc> SearchEngine::EvaluateView(
+    const View& view, const std::vector<text::TermId>& terms, size_t k,
+    const util::Deadline* deadline) const {
+  if (terms.empty() || k == 0) return {};
+
+  // One canonical query plan for every part: same term order, same df.
+  const std::vector<QueryTerm> query = CollapseQuery(terms);
   std::vector<uint32_t> dfs(query.size());
   for (size_t qi = 0; qi < query.size(); ++qi) {
-    dfs[qi] = index_.DocFreq(query[qi].term);
+    const text::TermId t = query[qi].term;
+    if (view.global_df == nullptr) {
+      dfs[qi] = view.parts.front().index->DocFreq(t);
+    } else {
+      dfs[qi] = t < view.global_df->size() ? (*view.global_df)[t] : 0;
+    }
   }
-  static thread_local EvalScratch scratch;
-  std::vector<ScoredDoc> results =
-      EvaluateTopK(strategy, index_, stats_, *scorer_, query, dfs, k, &scratch,
-                   bounds == nullptr ? nullptr : bounds.get(),
-                   /*exclude=*/nullptr, deadline);
-  if (deadline != nullptr && deadline->Expired()) {
-    TOPPRIV_COUNTER_INC("search.deadline_exceeded");
-    return util::Status::DeadlineExceeded("query deadline expired");
+
+  // Scatter: per-part top-k. The global top-k is a subset of the union of
+  // per-part top-k lists, so k candidates per part always suffice.
+  const size_t n = view.parts.size();
+  std::vector<std::vector<ScoredDoc>> per_part(n);
+  TOPPRIV_TRACE_SPAN(fanout_span, "search.fanout");
+  TOPPRIV_SCOPED_TIMER_US("search.fanout_us");
+  TOPPRIV_HISTOGRAM_OBSERVE("search.fanout_width", n, util::CountBuckets());
+  auto evaluate_part = [&](size_t p) {
+    // One scratch per thread; a worker finishes a part before taking the
+    // next, so reuse is race-free even when concurrent queries share the
+    // pool. The deadline's cancel flag is shared: the first part to
+    // observe expiry latches it and every sibling stops at its next check.
+    static thread_local EvalScratch scratch;
+    const Part& part = view.parts[p];
+    per_part[p] = EvaluateTopK(strategy_, *part.index, view.stats, *scorer_,
+                               query, dfs, k, &scratch, part.term_bounds,
+                               part.exclude, deadline);
+  };
+  if (pool_ != nullptr && n > 1) {
+    pool_->ParallelFor(n, evaluate_part);
+  } else {
+    for (size_t p = 0; p < n; ++p) evaluate_part(p);
   }
-  return results;
+
+  // Gather: lift local ids into the view's global space and merge in part
+  // order through TopK's strict (score desc, doc id asc) order.
+  TopK merged(k);
+  for (size_t p = 0; p < n; ++p) {
+    const Part& part = view.parts[p];
+    for (const ScoredDoc& sd : per_part[p]) {
+      const uint32_t shift =
+          part.deleted_before == nullptr ? 0 : (*part.deleted_before)[sd.doc];
+      merged.Offer(part.base + (sd.doc - shift), sd.score);
+    }
+  }
+  return merged.Finish();
 }
 
 }  // namespace toppriv::search

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corpus/corpus.h"
@@ -17,6 +18,19 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+
+namespace toppriv::index {
+class ShardedIndex;
+namespace live {
+class IndexSnapshot;
+class LiveIndex;
+class Segment;
+}  // namespace live
+}  // namespace toppriv::index
+
+namespace toppriv::util {
+class ThreadPool;
+}  // namespace toppriv::util
 
 namespace toppriv::search {
 
@@ -70,8 +84,8 @@ struct TermCursor {
 /// slot per document, plus the touched-document list that makes clearing
 /// O(touched) instead of O(num_documents). Reusing one scratch across
 /// queries removes the per-query hash-map allocation that used to dominate
-/// Evaluate. Not thread-safe: one scratch per thread (the scratch-less
-/// Evaluate overloads keep a thread-local one).
+/// Evaluate. Not thread-safe: one scratch per thread (SearchEngine keeps a
+/// thread-local one).
 class EvalScratch {
  public:
   EvalScratch() = default;
@@ -119,20 +133,19 @@ class EvalScratch {
 
 /// Collapses a bag of term ids to unique (term, qtf) pairs in ascending
 /// term order. The sorted order fixes the floating-point accumulation order
-/// of every evaluation path — monolithic or per-shard — so results are
-/// bit-identical across engines (and independent of any hash-map iteration
-/// order).
+/// of every part of every view, so results are bit-identical across index
+/// shapes (and independent of any hash-map iteration order).
 std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms);
 
 /// The shared term-at-a-time evaluation core: accumulates `query` over
 /// `index`'s posting lists into `scratch`, scoring with the collection-wide
 /// `stats` and the per-term document frequencies `dfs` (parallel to
-/// `query`; the monolithic engine passes the index's own df, a sharded
-/// engine passes the GLOBAL df so every shard scores identically), then
-/// extracts the top `k`. Result doc ids are local to `index`; sharded
-/// callers offset them by their shard's range base before merging.
-/// Exposing this lets SearchEngine and ShardedSearchEngine run literally
-/// the same arithmetic, which is what the bit-parity suite locks down.
+/// `query`; a one-part view passes the index's own df, a multi-part view
+/// the GLOBAL df so every part scores identically), then extracts the top
+/// `k`. Result doc ids are local to `index`; SearchEngine lifts them into
+/// its view's global id space before merging. Every part of every view
+/// runs literally this arithmetic, which is what the bit-parity suite
+/// locks down.
 ///
 /// `exclude`, when given, is a per-document tombstone mask (parallel to
 /// `index`'s local doc-id space; nonzero = excluded): masked documents
@@ -140,8 +153,8 @@ std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms);
 /// their delete bitmaps here; since scoring a document reads only its own
 /// posting tf, its own length and the collection-wide stats/df, skipping
 /// masked documents changes no surviving document's score bits — which is
-/// what keeps the live engine bit-identical to a static build of the
-/// surviving corpus.
+/// what keeps a live view bit-identical to a static build of the surviving
+/// corpus.
 ///
 /// `deadline`, when given, is polled once per decoded block. On expiry the
 /// core abandons the query and returns an EMPTY list — a partial top-k is
@@ -165,11 +178,11 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
 /// Much tighter than the analytic Scorer::UpperBound (which must assume
 /// the worst doc length AND the list-max tf on the same posting), so the
 /// MaxScore partition turns more terms non-essential and abandons
-/// candidates earlier. Engines precompute this once per (index, scorer)
-/// when the MaxScore strategy is selected — the classic "max impact"
-/// metadata of impact-ordered indexes. `global_dfs`, when given, replaces
-/// each list's local document frequency (sharded engines score with global
-/// df, so their bounds must too).
+/// candidates earlier. SearchEngine computes one per part when built with
+/// the MaxScore strategy — the classic "max impact" metadata of
+/// impact-ordered indexes. `global_dfs`, when given, replaces each list's
+/// local document frequency (multi-part views score with global df, so
+/// their bounds must too).
 std::vector<double> ComputeTermImpactBounds(
     const index::InvertedIndex& index, const CollectionStats& stats,
     const Scorer& scorer, const std::vector<uint32_t>* global_dfs = nullptr);
@@ -273,9 +286,9 @@ struct QueryOptions {
 
 /// Abstract ranked-retrieval engine: what the privacy layer (TrustedClient,
 /// SessionProtector) and the serving driver program against. Implemented by
-/// the monolithic SearchEngine and by ShardedSearchEngine; the sharding
-/// test suite proves the two are interchangeable bit for bit, so every
-/// layer above can swap one for the other freely.
+/// SearchEngine over every index shape (and by decorators such as
+/// FaultInjectingEngine); the parity suites prove the shapes interchangeable
+/// bit for bit, so every layer above can swap one for another freely.
 class QueryEngine {
  public:
   virtual ~QueryEngine() = default;
@@ -296,9 +309,9 @@ class QueryEngine {
   /// surviving arithmetic); an expired or cancelled one returns
   /// kDeadlineExceeded and its partial work is discarded, never surfaced.
   /// The base implementation brackets Evaluate with expiry checks (coarse:
-  /// a stuck engine still runs to completion); the real engines override
-  /// it to poll inside the eval cores and across the shard fan-out, so a
-  /// wedged shard costs at most one block decode past the deadline.
+  /// a stuck engine still runs to completion); SearchEngine overrides it to
+  /// poll inside the eval cores and across the part fan-out, so a wedged
+  /// part costs at most one block decode past the deadline.
   virtual util::StatusOr<std::vector<ScoredDoc>> EvaluateWithOptions(
       const std::vector<text::TermId>& terms, size_t k,
       const QueryOptions& options) const;
@@ -317,74 +330,184 @@ class QueryEngine {
   virtual EvalStrategy eval_strategy() const = 0;
 };
 
-/// Similarity search engine over a monolithic inverted index.
+/// Similarity search engine over a list of index parts — Lucene's
+/// IndexSearcher over leaf readers. Each constructor maps one index shape
+/// onto a view:
+///  - a monolithic InvertedIndex is one part;
+///  - a ShardedIndex is one part per shard, lifted by its range base and
+///    scored with the manifest's GLOBAL document frequencies;
+///  - a LiveIndex snapshot is one part per segment, with the segment's
+///    tombstone mask and its dense-id remap (SnapshotSegment::DenseId),
+///    scored with the snapshot's global live statistics.
+///
+/// Parity contract (sharding_test, live_index_test, serving_test): for any
+/// shape, part count, thread count and strategy, results are BIT-identical
+/// to the one-part engine over a static build of the same collection. Three
+/// ingredients make that hold:
+///   1. every part scores with the view's GLOBAL collection statistics and
+///      per-term document frequencies (distributed-IR "global IDF");
+///   2. every part runs the same evaluation core over the same canonical
+///      term order (CollapseQuery); tombstoned documents are skipped
+///      without touching any survivor's floating-point op sequence;
+///   3. per-part results lift local ids into the view's global id space
+///      and merge through TopK's strict (score desc, doc id asc) order, so
+///      ties break by doc id, never by part or completion order.
+///
+/// FAN-OUT. With `num_threads` > 1 the engine owns a private pool and each
+/// query's part evaluations fan out on it; every iteration writes only its
+/// own result slot with its own thread-local scratch, and the merge walks
+/// the slots in part order on the calling thread, so the pooled path is
+/// bit-identical to the sequential one. The pool is private, so it can
+/// never be a pool the caller itself blocks inside.
+///
+/// IMPACT BOUNDS. The strategy is fixed at construction. Under MaxScore a
+/// static view's per-part ComputeTermImpactBounds tables (priced with the
+/// view's df) are built once in the constructor and never change. A live
+/// view is built per acquired snapshot; its tables are cached keyed by
+/// (segment identity, df-version): LiveIndex bumps the version on every
+/// df-changing mutation, and the cache is discarded the moment a snapshot
+/// carries a newer one — a stale table could fall below a real
+/// contribution and break prune-safety. Merges are df-neutral, so their
+/// fresh segments simply compute their tables on first use. Tighter bounds
+/// change pruning work, never results.
 ///
 /// The engine is deliberately unmodified by the privacy layer: TopPriv's
 /// design constraint is that it works against existing engines (unlike the
 /// PDX baseline, which requires a homomorphic scoring protocol).
 class SearchEngine : public QueryEngine {
  public:
-  /// The engine borrows the corpus and index; both must outlive it.
+  /// One part over a monolithic index. The engine borrows the corpus and
+  /// index; both must outlive it.
   SearchEngine(const corpus::Corpus& corpus, const index::InvertedIndex& index,
                std::unique_ptr<Scorer> scorer,
                EvalStrategy strategy = EvalStrategy::kTAAT);
 
+  /// One part per shard; `num_threads` > 1 fans the shards out on a
+  /// private pool (0 = hardware concurrency, 1 = sequential on the
+  /// caller's thread).
+  SearchEngine(const corpus::Corpus& corpus, const index::ShardedIndex& index,
+               std::unique_ptr<Scorer> scorer,
+               EvalStrategy strategy = EvalStrategy::kTAAT,
+               size_t num_threads = 1);
+
+  /// Snapshot-isolated engine over a LiveIndex: each evaluation acquires
+  /// the current snapshot, so concurrent ingest/merge/delete never races a
+  /// query. A Degraded index still serves — reads come from the last
+  /// published snapshot by design. `num_threads` as for the sharded shape.
+  SearchEngine(const corpus::Corpus& corpus,
+               const index::live::LiveIndex& live,
+               std::unique_ptr<Scorer> scorer,
+               EvalStrategy strategy = EvalStrategy::kTAAT,
+               size_t num_threads = 1);
+
+  ~SearchEngine() override;
+
   SearchEngine(const SearchEngine&) = delete;
   SearchEngine& operator=(const SearchEngine&) = delete;
 
+  /// Logs the query, then evaluates. The query log is deliberately
+  /// unsynchronized (single-session client API): concurrent callers must
+  /// use the const Evaluate path, as the serving fleet does.
   std::vector<ScoredDoc> Search(const std::vector<text::TermId>& terms,
                                 size_t k, uint64_t cycle_id = 0) override;
 
   std::vector<ScoredDoc> Evaluate(const std::vector<text::TermId>& terms,
-                                  size_t k) const override
-      EXCLUDES(strategy_mu_);
+                                  size_t k) const override;
 
-  /// Same, accumulating into the caller's scratch (identical results).
-  std::vector<ScoredDoc> Evaluate(const std::vector<text::TermId>& terms,
-                                  size_t k, EvalScratch* scratch) const
-      EXCLUDES(strategy_mu_);
-
-  /// Deadline threaded into the eval core (block-decode granularity).
+  /// The deadline (with its SHARED sticky cancel flag) reaches every
+  /// part's eval core, so the first worker to observe expiry stops the
+  /// whole fan-out.
   util::StatusOr<std::vector<ScoredDoc>> EvaluateWithOptions(
       const std::vector<text::TermId>& terms, size_t k,
-      const QueryOptions& options) const override EXCLUDES(strategy_mu_);
+      const QueryOptions& options) const override;
+
+  /// Evaluation pinned to a caller-held live snapshot (what Evaluate does
+  /// with the current one on a live engine). Exposed so tests can prove
+  /// snapshot isolation: results against an old snapshot must not move
+  /// while the index churns.
+  std::vector<ScoredDoc> EvaluateOn(const index::live::IndexSnapshot& snapshot,
+                                    const std::vector<text::TermId>& terms,
+                                    size_t k,
+                                    const util::Deadline* deadline = nullptr)
+      const EXCLUDES(bounds_mu_);
 
   const QueryLog& query_log() const override { return log_; }
   QueryLog& mutable_query_log() override { return log_; }
 
   const corpus::Corpus& corpus() const override { return corpus_; }
-  const index::InvertedIndex& index() const { return index_; }
   const Scorer& scorer() const override { return *scorer_; }
-
-  EvalStrategy eval_strategy() const override EXCLUDES(strategy_mu_) {
-    util::MutexLock lock(&strategy_mu_);
-    return strategy_;
-  }
-  /// Strategies are interchangeable between queries (results are
-  /// bit-identical by the parity contract). Selecting MaxScore (here or
-  /// at construction) builds the per-term impact-bound table on first
-  /// selection. Thread-safe: the strategy and its bound table live behind
-  /// strategy_mu_, exactly like ShardedSearchEngine's (this engine kept
-  /// the pre-PR-7 caller-beware contract until now — the last unguarded
-  /// strategy flip in the tree). In-flight Evaluate calls finish under the
-  /// strategy they started with.
-  void set_eval_strategy(EvalStrategy strategy) EXCLUDES(strategy_mu_);
+  EvalStrategy eval_strategy() const override { return strategy_; }
 
  private:
+  /// One leaf of a view.
+  struct Part {
+    const index::InvertedIndex* index = nullptr;
+    /// Tombstone mask parallel to the part's local doc ids, or null.
+    const std::vector<char>* exclude = nullptr;
+    /// Global id of the part's first (live) document.
+    corpus::DocId base = 0;
+    /// deleted_before[l] = tombstoned locals below l, or null (no holes).
+    const std::vector<uint32_t>* deleted_before = nullptr;
+    /// MaxScore impact-bound table, or null (TAAT, or analytic bounds).
+    const std::vector<double>* term_bounds = nullptr;
+  };
+
+  /// Everything one evaluation reads.
+  struct View {
+    CollectionStats stats;
+    /// Global per-term df every part scores with; null means the single
+    /// part's own (the monolithic shape).
+    const std::vector<uint32_t>* global_df = nullptr;
+    std::vector<Part> parts;
+  };
+
+  /// One immutable generation of cached live bound tables: the df-version
+  /// they were computed at, plus (segment identity → table) pairs. Readers
+  /// clone the pointer under bounds_mu_ and go lock-free.
+  struct BoundsCache {
+    uint64_t df_version = 0;
+    std::vector<std::pair<std::shared_ptr<const index::live::Segment>,
+                          std::shared_ptr<const std::vector<double>>>>
+        tables;
+  };
+
+  SearchEngine(const corpus::Corpus& corpus, std::unique_ptr<Scorer> scorer,
+               EvalStrategy strategy, size_t num_threads);
+
+  /// Builds the static view's MaxScore tables (once, at construction).
+  void BuildStaticBounds();
+
+  /// Per-segment bound tables for `snapshot` (parallel to its segments),
+  /// served from the cache when the df-version matches.
+  std::vector<std::shared_ptr<const std::vector<double>>> SegmentBounds(
+      const index::live::IndexSnapshot& snapshot,
+      const CollectionStats& stats) const EXCLUDES(bounds_mu_);
+
+  /// Static view or the live index's current snapshot.
+  std::vector<ScoredDoc> Run(const std::vector<text::TermId>& terms, size_t k,
+                             const util::Deadline* deadline) const;
+
+  /// The one evaluation body: collapse → df → scatter → lift → merge.
+  std::vector<ScoredDoc> EvaluateView(const View& view,
+                                      const std::vector<text::TermId>& terms,
+                                      size_t k,
+                                      const util::Deadline* deadline) const;
+
   const corpus::Corpus& corpus_;
-  const index::InvertedIndex& index_;
   std::unique_ptr<Scorer> scorer_;
-  CollectionStats stats_;
-  /// Guards the evaluation-strategy switch (the one mutable knob shared
-  /// with concurrent Evaluate callers). Held only for enum/pointer reads
-  /// and the one-time bound-table build — never across evaluation.
-  mutable util::Mutex strategy_mu_;
-  EvalStrategy strategy_ GUARDED_BY(strategy_mu_) = EvalStrategy::kTAAT;
-  /// ComputeTermImpactBounds table; non-null iff MaxScore was ever
-  /// selected. The pointee is immutable — Evaluate snapshots the
-  /// shared_ptr under strategy_mu_ and reads it lock-free.
-  std::shared_ptr<const std::vector<double>> term_bounds_
-      GUARDED_BY(strategy_mu_);
+  const EvalStrategy strategy_;
+  /// Set for the live shape; the static shapes evaluate view_.
+  const index::live::LiveIndex* live_ = nullptr;
+  View view_;
+  /// Backing store of view_'s term_bounds pointers (MaxScore only).
+  std::vector<std::vector<double>> static_bounds_;
+  /// Guards only the live cache pointer swap; table computation runs
+  /// outside it.
+  mutable util::Mutex bounds_mu_;
+  mutable std::shared_ptr<const BoundsCache> bounds_cache_
+      GUARDED_BY(bounds_mu_);
+  /// Private fan-out pool; null = sequential.
+  std::unique_ptr<util::ThreadPool> pool_;
   QueryLog log_;
 };
 

@@ -38,9 +38,7 @@
 #include "index/sharded_index.h"
 #include "search/engine.h"
 #include "search/fault_injecting_engine.h"
-#include "search/live_engine.h"
 #include "search/scorer.h"
-#include "search/sharded_engine.h"
 #include "util/deadline.h"
 #include "util/filesystem.h"
 #include "util/hash.h"
@@ -211,10 +209,10 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
   live.Refresh();
 
   search::SearchEngine mono(corpus, index, search::MakeBm25Scorer());
-  search::ShardedSearchEngine fanout(corpus, sharded,
-                                     search::MakeBm25Scorer(), 2);
-  search::LiveSearchEngine over_live(corpus, live, search::MakeBm25Scorer(),
-                                     search::EvalStrategy::kTAAT);
+  search::SearchEngine fanout(corpus, sharded, search::MakeBm25Scorer(),
+                              search::EvalStrategy::kTAAT, 2);
+  search::SearchEngine over_live(corpus, live, search::MakeBm25Scorer(),
+                                 search::EvalStrategy::kTAAT);
   ManualClock clock;
   Deadline dead = Deadline::After(0.001, &clock);
   clock.Advance(2'000'000);  // 2ms past a 1ms deadline: expired before work
@@ -239,9 +237,9 @@ TEST(ChaosEngineTest, ConcurrentFleetSurvivesScriptedFaults) {
   const size_t vocab = 16;
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   ShardedIndex sharded = ShardedIndex::Build(corpus, 3);
-  search::ShardedSearchEngine inner(corpus, sharded, search::MakeBm25Scorer(),
-                                    /*num_threads=*/2,
-                                    search::EvalStrategy::kMaxScore);
+  search::SearchEngine inner(corpus, sharded, search::MakeBm25Scorer(),
+                             search::EvalStrategy::kMaxScore,
+                             /*num_threads=*/2);
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
   const std::vector<Doc> queries = SynthQueries(vocab, 8, 0xF00D);

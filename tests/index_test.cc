@@ -175,34 +175,29 @@ TEST(PostingListTest, ByteSizeMatchesClassicDeltaVarintPricing) {
   EXPECT_EQ(builder.Build().ByteSize(), priced);
 }
 
-TEST(PostingListTest, LegacyV0BlobsStillDecode) {
-  // Hand-encode the pre-block wire format: count, nbytes, interleaved
-  // (delta, tf) varint pairs. DecodeFrom must transparently transcode it
-  // into the block layout.
-  std::vector<Posting> expected = {{7, 2}, {9, 1}, {300, 5}, {301, 1}};
+TEST(PostingListTest, LegacyV0BlobsAreRejected) {
+  // The pre-block wire format: count, nbytes, interleaved (delta, tf)
+  // varint pairs. Only the tagged block layout decodes; a v0 header is an
+  // unknown format and must die with DataLoss.
+  std::vector<Posting> postings = {{7, 2}, {9, 1}, {300, 5}, {301, 1}};
   std::string body;
   corpus::DocId prev = 0;
   bool first = true;
-  for (const Posting& p : expected) {
+  for (const Posting& p : postings) {
     util::AppendVarint(first ? p.doc : p.doc - prev, &body);
     util::AppendVarint(p.tf, &body);
     prev = p.doc;
     first = false;
   }
   std::string bytes;
-  util::AppendVarint(expected.size(), &bytes);
+  util::AppendVarint(postings.size(), &bytes);
   util::AppendVarint(body.size(), &bytes);
   bytes += body;
 
   size_t pos = 0;
   auto list = PostingList::DecodeFrom(bytes, &pos);
-  ASSERT_TRUE(list.ok()) << list.status().ToString();
-  EXPECT_EQ(pos, bytes.size());
-  EXPECT_EQ(list->Decode(), expected);
-  EXPECT_EQ(list->max_tf(), 5u);
-  EXPECT_EQ(list->num_blocks(), 1u);
-  // ByteSize is layout-independent, so it survives the transcode.
-  EXPECT_EQ(list->ByteSize(), body.size());
+  ASSERT_FALSE(list.ok());
+  EXPECT_EQ(list.status().code(), util::StatusCode::kDataLoss);
 
   // Legacy empty list: two zero varints.
   std::string empty_bytes;
@@ -210,8 +205,8 @@ TEST(PostingListTest, LegacyV0BlobsStillDecode) {
   util::AppendVarint(0, &empty_bytes);
   pos = 0;
   auto empty = PostingList::DecodeFrom(empty_bytes, &pos);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), util::StatusCode::kDataLoss);
 }
 
 TEST(PostingListTest, HostileBlockBlobsRejectedCleanly) {

@@ -2,7 +2,7 @@
 //
 // The contract under test: ingesting a corpus in ANY batch splits, with ANY
 // interleaving of merges and deletes-then-reinserts, is INVISIBLE — the
-// LiveSearchEngine returns bit-identical results to the monolithic engine
+// live SearchEngine returns bit-identical results to the monolithic engine
 // over a static InvertedIndex::Build of the final collection, the
 // snapshot's ComputeStats() equals the static build's exactly, snapshots
 // are isolated from concurrent churn, and hostile serialized manifests die
@@ -17,7 +17,6 @@
 #include "index/inverted_index.h"
 #include "index/live/live_index.h"
 #include "search/engine.h"
-#include "search/live_engine.h"
 #include "search/scorer.h"
 #include "tests/test_helpers.h"
 #include "util/io.h"
@@ -33,7 +32,6 @@ using index::live::IndexSnapshot;
 using index::live::LiveIndex;
 using index::live::LiveIndexOptions;
 using index::live::StableId;
-using search::LiveSearchEngine;
 using search::ScoredDoc;
 using toppriv::testing::World;
 
@@ -97,13 +95,9 @@ std::vector<Doc> WorldDocs() {
   return docs;
 }
 
-// Shared fan-out pool for the pooled parity dimension. Leaked on purpose:
-// gtest runs tests in one process and a static pool sidesteps teardown
-// ordering; the pool is only ever driven from the main test thread.
-util::ThreadPool& EvalPool() {
-  static util::ThreadPool* pool = new util::ThreadPool(3);
-  return *pool;
-}
+// Fan-out threads for the pooled parity dimension (each pooled engine owns
+// a pool of this size).
+constexpr size_t kEvalThreads = 3;
 
 // THE parity check: the live index's current state must be
 // indistinguishable — results (all scorers × both strategies × sequential
@@ -124,10 +118,10 @@ void ExpectLiveMatchesStatic(LiveIndex& live, const std::vector<Doc>& final_docs
     for (search::EvalStrategy strategy : kStrategies) {
       search::SearchEngine mono(expected, static_index,
                                 MakeScorer(scorer_kind), strategy);
-      LiveSearchEngine engine(expected, live, MakeScorer(scorer_kind),
-                              strategy);
-      LiveSearchEngine pooled(expected, live, MakeScorer(scorer_kind),
-                              strategy, &EvalPool());
+      search::SearchEngine engine(expected, live, MakeScorer(scorer_kind),
+                                  strategy);
+      search::SearchEngine pooled(expected, live, MakeScorer(scorer_kind),
+                                  strategy, kEvalThreads);
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         SCOPED_TRACE(::testing::Message()
                      << context << " scorer=" << scorer_kind << " strategy="
@@ -158,7 +152,7 @@ TEST(LiveIndexTest, EmptyIndexAnswersNothing) {
   ASSERT_NE(snapshot, nullptr);
   EXPECT_EQ(snapshot->num_documents(), 0u);
   corpus::Corpus empty = CorpusFromDocs(4, {});
-  LiveSearchEngine engine(empty, live, search::MakeBm25Scorer());
+  search::SearchEngine engine(empty, live, search::MakeBm25Scorer());
   EXPECT_TRUE(engine.Evaluate({0, 1}, 10).empty());
   EXPECT_TRUE(engine.Evaluate({}, 10).empty());
   EXPECT_TRUE(engine.Evaluate({0}, 0).empty());
@@ -225,7 +219,7 @@ TEST(LiveIndexParityTest, FullWorkloadParityAfterStreamedIngest) {
   corpus::Corpus expected = CorpusFromDocs(vocab, docs);
   InvertedIndex static_index = InvertedIndex::Build(expected);
   search::SearchEngine mono(expected, static_index, search::MakeBm25Scorer());
-  LiveSearchEngine engine(expected, live, search::MakeBm25Scorer());
+  search::SearchEngine engine(expected, live, search::MakeBm25Scorer());
   for (size_t qi = 0; qi < World().workload.size(); ++qi) {
     SCOPED_TRACE(qi);
     ExpectBitIdentical(engine.Evaluate(World().workload[qi].term_ids, 10),
@@ -318,12 +312,13 @@ TEST(LiveIndexParityTest, DfVersionEdgesKeepCachedBoundsExact) {
   LiveIndex live(options);
   live.EnsureTermSpace(8);
 
-  LiveSearchEngine seq_max(host, live, search::MakeBm25Scorer(),
-                           search::EvalStrategy::kMaxScore);
-  LiveSearchEngine pooled_max(host, live, search::MakeBm25Scorer(),
-                              search::EvalStrategy::kMaxScore, &EvalPool());
-  LiveSearchEngine taat(host, live, search::MakeBm25Scorer(),
-                        search::EvalStrategy::kTAAT);
+  search::SearchEngine seq_max(host, live, search::MakeBm25Scorer(),
+                               search::EvalStrategy::kMaxScore);
+  search::SearchEngine pooled_max(host, live, search::MakeBm25Scorer(),
+                                  search::EvalStrategy::kMaxScore,
+                                  kEvalThreads);
+  search::SearchEngine taat(host, live, search::MakeBm25Scorer(),
+                            search::EvalStrategy::kTAAT);
 
   std::vector<Doc> final_docs;  // mirror of the live collection
   auto check_stage = [&](size_t stage_vocab,
@@ -453,7 +448,7 @@ TEST(LiveIndexTest, SnapshotsAreIsolatedFromChurn) {
 
   corpus::Corpus expected =
       CorpusFromDocs(vocab, std::vector<Doc>(docs.begin(), docs.begin() + 300));
-  LiveSearchEngine engine(expected, live, search::MakeBm25Scorer());
+  search::SearchEngine engine(expected, live, search::MakeBm25Scorer());
   const std::vector<Doc> queries = WorldQueries(8);
   std::vector<std::vector<ScoredDoc>> before;
   for (const Doc& q : queries) before.push_back(engine.EvaluateOn(*pinned, q, 10));
@@ -596,20 +591,19 @@ TEST(LiveIndexSerializationTest, RoundTripPreservesEverything) {
 }
 
 TEST(LiveIndexSerializationTest, FormatTagVersioning) {
-  // Serialize leads with a format-version tag whose value can never
-  // collide with a legacy blob's leading num_terms field.
+  // Serialize leads with a format-version tag.
   const std::string tagged = SmallLiveBlob();
   util::BinaryReader reader(tagged);
   uint64_t tag = 0;
   ASSERT_TRUE(reader.ReadVarint(&tag).ok());
   EXPECT_EQ(tag, (uint64_t{1} << 32) | 1);
 
-  // A pre-versioning blob (no tag) still decodes, to the identical index:
-  // re-serializing it reproduces today's tagged bytes exactly.
+  // A pre-versioning blob (no tag) is refused: its leading num_terms is
+  // not a format tag.
   const std::string legacy = tagged.substr(reader.position());
   auto from_legacy = LiveIndex::Deserialize(legacy);
-  ASSERT_TRUE(from_legacy.ok()) << from_legacy.status().ToString();
-  EXPECT_EQ((*from_legacy)->Serialize(), tagged);
+  ASSERT_FALSE(from_legacy.ok());
+  EXPECT_EQ(from_legacy.status().code(), util::StatusCode::kDataLoss);
 
   // A tag from a future format version is refused outright — never
   // misparsed as data.
@@ -668,6 +662,7 @@ std::string BuildHostileBlob(const HostileParts& parts) {
   InvertedIndex seg1 = InvertedIndex::BuildRange(tiny, 0, 2);
   InvertedIndex seg2 = InvertedIndex::BuildRange(tiny, 2, 4);
   util::BinaryWriter w;
+  w.WriteVarint((uint64_t{1} << 32) | 1);  // format tag
   w.WriteVarint(parts.num_terms);
   w.WriteVarint(parts.next_stable);
   w.WriteVarint(2);  // segments
@@ -838,7 +833,7 @@ TEST(LiveIndexTest, SnapshotOutlivesItsLiveIndex) {
   std::vector<StableId> ids = live->Ingest(docs);
   live->Delete(ids[1]);
   snapshot = live->Refresh();
-  LiveSearchEngine engine(corpus_ref, *live, search::MakeBm25Scorer());
+  search::SearchEngine engine(corpus_ref, *live, search::MakeBm25Scorer());
   before = engine.EvaluateOn(*snapshot, {0, 1, 2, 3}, 4);
   stats_before = snapshot->ComputeStats();
   ASSERT_FALSE(before.empty());
@@ -872,7 +867,7 @@ TEST(LiveIndexConcurrencyTest, ConcurrentIngestQueryMergeIsSafeAndConverges) {
   live.EnsureTermSpace(vocab);
 
   corpus::Corpus corpus_ref = CorpusFromDocs(vocab, docs);
-  LiveSearchEngine engine(corpus_ref, live, search::MakeBm25Scorer());
+  search::SearchEngine engine(corpus_ref, live, search::MakeBm25Scorer());
   const std::vector<Doc> queries = WorldQueries(12);
 
   std::atomic<bool> done{false};
@@ -974,69 +969,66 @@ TEST(LiveIndexConcurrencyTest, AcquireDuringRefreshMakesProgressAndIsOrdered) {
                           "acquire-hammer");
 }
 
-// Regression for the set_eval_strategy race: the setter used to write the
-// strategy field unguarded while concurrent Evaluate calls read it, an
-// undiagnosed data race (and on the monolithic engine the lazy MaxScore
-// bound build doubled as an unguarded publication). Both engines now keep
-// the strategy behind a mutex and each Evaluate runs under the strategy it
-// snapshotted. Flippers toggle TAAT↔MaxScore as fast as they can while
-// readers evaluate; the TSan job turns any residual race into a report,
-// and since both strategies are bit-identical by the parity contract,
-// every result must match the reference no matter when the flip lands.
-TEST(LiveIndexConcurrencyTest, StrategyFlipsDuringEvaluationAreRaceFree) {
+// Concurrent readers on a monolithic and a live engine, both built with
+// MaxScore, evaluate while a writer ingests and refreshes. The live
+// engine's bound cache is republished on every df-version bump the writer
+// causes, so the TSan job turns any race in that publication into a
+// report. Monolithic results must match the reference throughout; live
+// results are compared once the writer has finished, when the live
+// collection equals the reference's.
+TEST(LiveIndexConcurrencyTest, MaxScoreReadersRaceIngestWithoutDataRaces) {
   const std::vector<Doc> docs = WorldDocs();
   const size_t vocab = World().corpus.vocabulary_size();
   corpus::Corpus corpus_ref = CorpusFromDocs(vocab, docs);
   InvertedIndex static_index = InvertedIndex::Build(corpus_ref);
   search::SearchEngine mono(corpus_ref, static_index,
                             search::MakeBm25Scorer(),
-                            search::EvalStrategy::kTAAT);
+                            search::EvalStrategy::kMaxScore);
 
   LiveIndex live;
   live.EnsureTermSpace(vocab);
-  live.Ingest(docs);
+  const size_t upfront = docs.size() / 2;
+  live.Ingest(std::vector<Doc>(docs.begin(), docs.begin() + upfront));
   live.Refresh();
-  LiveSearchEngine live_engine(corpus_ref, live, search::MakeBm25Scorer(),
-                               search::EvalStrategy::kTAAT, &EvalPool());
+  search::SearchEngine live_engine(corpus_ref, live, search::MakeBm25Scorer(),
+                                   search::EvalStrategy::kMaxScore,
+                                   kEvalThreads);
 
   const std::vector<Doc> queries = WorldQueries(8);
   std::vector<std::vector<ScoredDoc>> want;
   for (const Doc& q : queries) want.push_back(mono.Evaluate(q, 10));
 
   std::atomic<bool> done{false};
-  std::thread flip_mono([&] {
-    bool taat = false;
-    while (!done.load(std::memory_order_relaxed)) {
-      mono.set_eval_strategy(taat ? search::EvalStrategy::kTAAT
-                                  : search::EvalStrategy::kMaxScore);
-      taat = !taat;
+  std::thread writer([&] {
+    for (size_t begin = upfront; begin < docs.size(); begin += 8) {
+      const size_t end = std::min(docs.size(), begin + 8);
+      live.Ingest(std::vector<Doc>(docs.begin() + begin, docs.begin() + end));
+      live.Refresh();
     }
-  });
-  std::thread flip_live([&] {
-    bool taat = false;
-    while (!done.load(std::memory_order_relaxed)) {
-      live_engine.set_eval_strategy(taat ? search::EvalStrategy::kTAAT
-                                         : search::EvalStrategy::kMaxScore);
-      taat = !taat;
-    }
+    done.store(true);
   });
 
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&, r] {
-      for (size_t iter = 0; iter < 60; ++iter) {
+      size_t checked = 0;  // live comparisons after the writer finished
+      for (size_t iter = 0; checked < 16; ++iter) {
         const size_t qi = (static_cast<size_t>(r) + iter) % queries.size();
         ExpectBitIdentical(mono.Evaluate(queries[qi], 10), want[qi],
-                           "mono under strategy flips");
-        ExpectBitIdentical(live_engine.Evaluate(queries[qi], 10), want[qi],
-                           "live under strategy flips");
+                           "mono under ingest");
+        // Read before evaluating: done is stored after the final Refresh,
+        // so a query started after seeing it runs on the final snapshot.
+        const bool converged = done.load();
+        std::vector<ScoredDoc> got = live_engine.Evaluate(queries[qi], 10);
+        if (converged) {
+          ExpectBitIdentical(got, want[qi], "live after ingest");
+          ++checked;
+        }
       }
     });
   }
+  writer.join();
   for (std::thread& t : readers) t.join();
-  done.store(true);
-  flip_mono.join();
-  flip_live.join();
 }
 
 }  // namespace

@@ -227,6 +227,22 @@ std::vector<ScoredDoc> MapBasedEvaluate(const index::InvertedIndex& index,
   return topk.Finish();
 }
 
+// The evaluation core over a whole index with a caller-owned scratch: what
+// SearchEngine runs per part, minus the engine's thread-local scratch.
+std::vector<ScoredDoc> CoreEvaluate(EvalStrategy strategy,
+                                    const index::InvertedIndex& index,
+                                    const Scorer& scorer,
+                                    const std::vector<text::TermId>& terms,
+                                    size_t k, EvalScratch* scratch,
+                                    const std::vector<double>* term_bounds =
+                                        nullptr) {
+  const std::vector<QueryTerm> query = CollapseQuery(terms);
+  std::vector<uint32_t> dfs;
+  for (const QueryTerm& qt : query) dfs.push_back(index.DocFreq(qt.term));
+  return EvaluateTopK(strategy, index, CollectionStats::Of(index), scorer,
+                      query, dfs, k, scratch, term_bounds);
+}
+
 TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
   // Parity lock for the accumulator rewrite: same generated corpus, same
   // queries, identical ranked results — docs, order, and score BITS.
@@ -251,10 +267,11 @@ TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
       std::vector<ScoredDoc> want =
           MapBasedEvaluate(world.index, engine.scorer(), query, 15);
       std::vector<ScoredDoc> got = engine.Evaluate(query, 15);
-      // Also through a caller-owned scratch reused across all trials: reuse
-      // must not leak state between queries.
+      // Also through the core with a caller-owned scratch reused across all
+      // trials: reuse must not leak state between queries.
       std::vector<ScoredDoc> got_reused =
-          engine.Evaluate(query, 15, &reused_scratch);
+          CoreEvaluate(EvalStrategy::kTAAT, world.index, engine.scorer(),
+                       query, 15, &reused_scratch);
       ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
       for (size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].doc, want[i].doc) << "trial " << trial;
@@ -328,6 +345,8 @@ TEST(MaxScoreTest, MatchesTaatBitForBitOnWorkloadAndRandomQueries) {
                           EvalStrategy::kMaxScore);
     ASSERT_EQ(maxscore.eval_strategy(), EvalStrategy::kMaxScore);
     EvalScratch reused;
+    const std::vector<double> bounds = ComputeTermImpactBounds(
+        world.index, CollectionStats::Of(world.index), maxscore.scorer());
     util::Rng rng(1234 + kind);
     for (int trial = 0; trial < 60; ++trial) {
       std::vector<text::TermId> query;
@@ -349,7 +368,8 @@ TEST(MaxScoreTest, MatchesTaatBitForBitOnWorkloadAndRandomQueries) {
         std::vector<ScoredDoc> want = taat.Evaluate(query, k);
         std::vector<ScoredDoc> got = maxscore.Evaluate(query, k);
         std::vector<ScoredDoc> got_reused =
-            maxscore.Evaluate(query, k, &reused);
+            CoreEvaluate(EvalStrategy::kMaxScore, world.index,
+                         maxscore.scorer(), query, k, &reused, &bounds);
         ASSERT_EQ(got.size(), want.size());
         for (size_t i = 0; i < got.size(); ++i) {
           EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
@@ -360,19 +380,6 @@ TEST(MaxScoreTest, MatchesTaatBitForBitOnWorkloadAndRandomQueries) {
         }
       }
     }
-  }
-}
-
-TEST(MaxScoreTest, StrategyCanFlipMidStream) {
-  const auto& world = toppriv::testing::World();
-  SearchEngine engine(world.corpus, world.index, MakeBm25Scorer());
-  std::vector<ScoredDoc> taat = engine.Evaluate(world.workload[0].term_ids, 10);
-  engine.set_eval_strategy(EvalStrategy::kMaxScore);
-  std::vector<ScoredDoc> ms = engine.Evaluate(world.workload[0].term_ids, 10);
-  ASSERT_EQ(ms.size(), taat.size());
-  for (size_t i = 0; i < ms.size(); ++i) {
-    EXPECT_EQ(ms[i].doc, taat[i].doc);
-    EXPECT_EQ(ms[i].score, taat[i].score);
   }
 }
 

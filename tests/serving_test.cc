@@ -1,6 +1,6 @@
 // Tests for the multi-session serving layer: thread-count-independent
 // results, session independence, workload dealing, and the mixed
-// read/write phase (concurrent sessions over a LiveSearchEngine while the
+// read/write phase (concurrent sessions over a live SearchEngine while the
 // corpus streams in).
 #include <thread>
 #include <vector>
@@ -9,7 +9,6 @@
 
 #include "index/live/live_index.h"
 #include "search/engine.h"
-#include "search/live_engine.h"
 #include "search/scorer.h"
 #include "serving/session_driver.h"
 #include "tests/test_helpers.h"
@@ -121,7 +120,7 @@ TEST_F(SessionDriverTest, RepeatedRunsAreIdentical) {
 }
 
 // The mixed read/write phase: a session fleet serves ghost-query cycles
-// over a LiveSearchEngine WHILE a writer streams the rest of the corpus in
+// over a live SearchEngine WHILE a writer streams the rest of the corpus in
 // (with background merges on a shared pool) — the live-traffic scenario
 // the static engines cannot model, and the serving-side ThreadSanitizer
 // target for the new subsystem. Mid-stream results depend on snapshot
@@ -149,8 +148,7 @@ TEST(LiveServingTest, MixedIngestAndServingConvergesToStaticDigests) {
   live.Ingest(batch);
   live.Refresh();
 
-  search::LiveSearchEngine engine(world.corpus, live,
-                                  search::MakeBm25Scorer());
+  search::SearchEngine engine(world.corpus, live, search::MakeBm25Scorer());
   std::vector<std::vector<text::TermId>> queries;
   for (size_t i = 0; i < 8; ++i) {
     queries.push_back(world.workload[i % world.workload.size()].term_ids);

@@ -15,7 +15,6 @@
 #include "index/sharded_index.h"
 #include "search/engine.h"
 #include "search/scorer.h"
-#include "search/sharded_engine.h"
 #include "serving/session_driver.h"
 #include "tests/test_helpers.h"
 #include "topicmodel/inference.h"
@@ -73,8 +72,9 @@ TEST(ShardingParityTest, EveryWorkloadQueryMatchesMonolithicBitForBit) {
     for (size_t num_shards : kShardCounts) {
       ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
       for (size_t threads : {size_t{1}, size_t{4}}) {
-        search::ShardedSearchEngine engine(world.corpus, sharded,
-                                           MakeScorer(scorer_kind), threads);
+        search::SearchEngine engine(world.corpus, sharded,
+                                    MakeScorer(scorer_kind),
+                                    search::EvalStrategy::kTAAT, threads);
         for (size_t qi = 0; qi < world.workload.size(); ++qi) {
           SCOPED_TRACE(::testing::Message()
                        << "scorer=" << scorer_kind << " shards=" << num_shards
@@ -106,9 +106,9 @@ TEST(ShardingParityTest, MaxScoreMatchesTaatAcrossShardGrid) {
     ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
     for (search::EvalStrategy strategy :
          {search::EvalStrategy::kTAAT, search::EvalStrategy::kMaxScore}) {
-      search::ShardedSearchEngine engine(world.corpus, sharded,
-                                         search::MakeBm25Scorer(),
-                                         /*num_threads=*/1, strategy);
+      search::SearchEngine engine(world.corpus, sharded,
+                                  search::MakeBm25Scorer(), strategy,
+                                  /*num_threads=*/1);
       ASSERT_EQ(engine.eval_strategy(), strategy);
       for (size_t qi = 0; qi < world.workload.size(); ++qi) {
         SCOPED_TRACE(::testing::Message()
@@ -132,8 +132,8 @@ TEST(ShardingParityTest, RandomQueriesIncludingRepeatsAndUnknownTerms) {
   util::Rng rng(4242);
   for (size_t num_shards : {size_t{2}, size_t{7}}) {
     ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
-    search::ShardedSearchEngine engine(world.corpus, sharded,
-                                       search::MakeBm25Scorer());
+    search::SearchEngine engine(world.corpus, sharded,
+                                search::MakeBm25Scorer());
     for (int trial = 0; trial < 40; ++trial) {
       SCOPED_TRACE(::testing::Message()
                    << "shards=" << num_shards << " trial=" << trial);
@@ -159,7 +159,7 @@ TEST(ShardingParityTest, KLargerThanCorpusLeavesEmptyShards) {
   ShardedIndex sharded = ShardedIndex::Build(c, 7);  // 4 docs, 7 shards
   ASSERT_EQ(sharded.num_shards(), 7u);
   EXPECT_EQ(sharded.num_documents(), 4u);
-  search::ShardedSearchEngine engine(c, sharded, search::MakeBm25Scorer());
+  search::SearchEngine engine(c, sharded, search::MakeBm25Scorer());
   for (text::TermId t = 0; t < 4; ++t) {
     ExpectBitIdentical(engine.Evaluate({t}, 10), mono.Evaluate({t}, 10),
                        "tiny");
@@ -169,8 +169,8 @@ TEST(ShardingParityTest, KLargerThanCorpusLeavesEmptyShards) {
 TEST(ShardingParityTest, EmptyQueryAndZeroKReturnNothing) {
   const auto& world = World();
   ShardedIndex sharded = ShardedIndex::Build(world.corpus, 4);
-  search::ShardedSearchEngine engine(world.corpus, sharded,
-                                     search::MakeBm25Scorer());
+  search::SearchEngine engine(world.corpus, sharded,
+                              search::MakeBm25Scorer());
   EXPECT_TRUE(engine.Evaluate({}, 10).empty());
   EXPECT_TRUE(engine.Evaluate({0}, 0).empty());
 }
@@ -178,8 +178,8 @@ TEST(ShardingParityTest, EmptyQueryAndZeroKReturnNothing) {
 TEST(ShardingParityTest, SearchLogsLikeMonolithic) {
   const auto& world = World();
   ShardedIndex sharded = ShardedIndex::Build(world.corpus, 2);
-  search::ShardedSearchEngine engine(world.corpus, sharded,
-                                     search::MakeBm25Scorer());
+  search::SearchEngine engine(world.corpus, sharded,
+                              search::MakeBm25Scorer());
   engine.Search({1, 2}, 5, /*cycle_id=*/9);
   engine.Evaluate({3}, 5);  // must NOT log
   ASSERT_EQ(engine.query_log().size(), 1u);
@@ -229,7 +229,7 @@ TEST(ShardingTieBreakTest, ExactCrossShardTiesOrderByDocId) {
     if (num_shards > 1) {
       EXPECT_NE(sharded.ShardOf(0), sharded.ShardOf(5));
     }
-    search::ShardedSearchEngine engine(c, sharded, search::MakeBm25Scorer());
+    search::SearchEngine engine(c, sharded, search::MakeBm25Scorer());
     ExpectBitIdentical(engine.Evaluate({a}, 6), want, "tie/full");
     // Truncation through the tie must keep the lower doc ids.
     std::vector<ScoredDoc> top2 = engine.Evaluate({a}, 2);
@@ -258,10 +258,10 @@ TEST(ShardingParallelBuildTest, PooledBuildMatchesSerialBitForBit) {
     // agree exactly; stats equality re-checks the aggregates.
     EXPECT_EQ(pooled.Serialize(), serial.Serialize());
     ExpectStatsEqual(pooled.ComputeStats(), serial.ComputeStats());
-    search::ShardedSearchEngine serial_engine(world.corpus, serial,
-                                              search::MakeBm25Scorer());
-    search::ShardedSearchEngine pooled_engine(world.corpus, pooled,
-                                              search::MakeBm25Scorer());
+    search::SearchEngine serial_engine(world.corpus, serial,
+                                       search::MakeBm25Scorer());
+    search::SearchEngine pooled_engine(world.corpus, pooled,
+                                       search::MakeBm25Scorer());
     for (size_t qi = 0; qi < 10; ++qi) {
       ExpectBitIdentical(
           pooled_engine.Evaluate(world.workload[qi].term_ids, 10),
@@ -387,10 +387,10 @@ TEST(ShardedIndexSerializationTest, RoundTripPreservesEverything) {
     EXPECT_EQ(restored->Serialize(), bytes);
     ExpectStatsEqual(restored->ComputeStats(), original.ComputeStats());
     // Query results survive the round trip bit for bit.
-    search::ShardedSearchEngine before(world.corpus, original,
-                                       search::MakeBm25Scorer());
-    search::ShardedSearchEngine after(world.corpus, *restored,
-                                      search::MakeBm25Scorer());
+    search::SearchEngine before(world.corpus, original,
+                                search::MakeBm25Scorer());
+    search::SearchEngine after(world.corpus, *restored,
+                               search::MakeBm25Scorer());
     for (size_t qi = 0; qi < 10; ++qi) {
       ExpectBitIdentical(after.Evaluate(world.workload[qi].term_ids, 10),
                          before.Evaluate(world.workload[qi].term_ids, 10),
@@ -563,9 +563,9 @@ TEST(ShardedServingTest, DriverDigestsMatchMonolithicAcrossThreadCounts) {
   for (size_t engine_threads : {size_t{1}, size_t{4}}) {
     for (search::EvalStrategy strategy :
          {search::EvalStrategy::kTAAT, search::EvalStrategy::kMaxScore}) {
-    search::ShardedSearchEngine engine(world.corpus, sharded,
-                                       search::MakeBm25Scorer(),
-                                       engine_threads, strategy);
+    search::SearchEngine engine(world.corpus, sharded,
+                                search::MakeBm25Scorer(), strategy,
+                                engine_threads);
     for (size_t driver_threads : {size_t{1}, size_t{4}}) {
       SCOPED_TRACE(::testing::Message() << "engine_threads=" << engine_threads
                                         << " strategy="

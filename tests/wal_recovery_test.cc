@@ -23,7 +23,6 @@
 #include "index/live/live_index.h"
 #include "index/live/wal.h"
 #include "search/engine.h"
-#include "search/live_engine.h"
 #include "search/scorer.h"
 #include "util/deadline.h"
 #include "util/filesystem.h"
@@ -42,7 +41,6 @@ using index::live::LiveIndexOptions;
 using index::live::ManifestFileName;
 using index::live::StableId;
 using index::live::WalFileName;
-using search::LiveSearchEngine;
 using search::ScoredDoc;
 using util::FaultInjectingFileSystem;
 using FaultMode = util::FaultInjectingFileSystem::FaultMode;
@@ -297,8 +295,8 @@ void ExpectLiveMatchesStatic(LiveIndex& live, const std::vector<Doc>& final_docs
     for (search::EvalStrategy strategy : kStrategies) {
       search::SearchEngine mono(expected, static_index, MakeScorer(scorer_kind),
                                 strategy);
-      LiveSearchEngine engine(expected, live, MakeScorer(scorer_kind),
-                              strategy);
+      search::SearchEngine engine(expected, live, MakeScorer(scorer_kind),
+                                  strategy);
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         SCOPED_TRACE(::testing::Message()
                      << context << " scorer=" << scorer_kind << " strategy="

@@ -10,9 +10,8 @@ Two formats, auto-detected:
     lower-is-better and gated at a widened threshold (wall-clock noise);
     shed_rate is informational (printed, never gated -- it tracks offered
     load, not code quality).
-  * micro    -- Google Benchmark --benchmark_out=json output (the fallback
-    harness emits the same shape): benchmarks[].real_time in time_unit,
-    lower-is-better.
+  * micro    -- Google Benchmark --benchmark_out=json output:
+    benchmarks[].real_time in time_unit, lower-is-better.
 
 A cell present in both files whose gated metric regressed by more than
 --threshold (default 10%, scaled by the cell's noise multiplier) fails the
@@ -132,8 +131,8 @@ def extract(doc, path):
 def schema_version(doc):
     """The emitter's schema_version, wherever the format keeps it.
 
-    serving_throughput writes it at the top level; the micro harnesses
-    write it in Google Benchmark's context object. Absent (pre-versioning
+    serving_throughput writes it at the top level; micro JSON may carry it
+    in Google Benchmark's context object. Absent (pre-versioning
     baselines) -> None.
     """
     if "schema_version" in doc:
