@@ -251,8 +251,10 @@ uint64_t KernelMetricsCounter() {
 uint64_t KernelInstrumentedQuery(search::SearchEngine& engine, size_t* qi) {
   // KernelQueryEvaluation plus the full per-query instrumentation set a
   // serving cycle attaches: one trace span and one latency histogram
-  // observation. Compare against QueryEvaluation/maxscore — the delta is
-  // what the <5% bench_compare gate bounds.
+  // observation. The delta against QueryEvaluation/maxscore is the
+  // instrumentation overhead; nothing gates that delta automatically —
+  // tools/bench_compare.py only compares each cell with its own baseline
+  // (the 10% threshold), so read the two cells side by side.
   TOPPRIV_TRACE_SPAN(span, "bench.query");
   TOPPRIV_SCOPED_TIMER_US("bench.query_latency_us");
   return KernelQueryEvaluation(engine, qi);

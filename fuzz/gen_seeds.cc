@@ -77,11 +77,16 @@ std::string WalSeed(bool torn) {
   index::live::LiveIndexOptions options;
   auto live = index::live::LiveIndex::Recover(&mem, "db", options);
   if (!live.ok()) return {};
+  // One record of every type: term space, ingest, seal, delete, ingest.
+  // Refresh logs a kSeal only while the writer holds documents, so it runs
+  // before the Delete: deleting a still-buffered doc seals the writer
+  // implicitly (replay re-derives that seal, so it is never logged) and a
+  // Refresh after it would have nothing left to seal.
   (*live)->EnsureTermSpace(16);
   std::vector<index::live::StableId> ids =
       (*live)->Ingest({{0, 1, 2}, {3, 4}, {1, 1, 5}});
-  (*live)->Delete(ids[1]);
   (*live)->Refresh();
+  (*live)->Delete(ids[1]);
   (*live)->Ingest({{6, 7}});
   const uint64_t gen = (*live)->wal_generation();
   std::string bytes =

@@ -67,6 +67,9 @@ class InvertedIndex {
 
   /// Length in tokens of each document.
   uint32_t DocLength(corpus::DocId doc) const;
+  /// Every document's length, indexed by doc id (unchecked access for the
+  /// evaluation cores, which bound-check doc ids once per decoded block).
+  const std::vector<uint32_t>& doc_lengths() const { return doc_lengths_; }
   double avg_doc_length() const { return avg_doc_length_; }
   size_t num_documents() const { return doc_lengths_.size(); }
   size_t num_terms() const { return lists_.size(); }

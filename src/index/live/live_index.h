@@ -27,8 +27,8 @@
 //     results and tie-breaks line up bit for bit.
 //  2. Identical per-document arithmetic. Sealed segments' posting lists
 //     are byte-identical to a static BuildRange over their documents
-//     (segment.h), per-segment evaluation runs the shared AccumulateTopK /
-//     MaxScoreTopK cores with the snapshot's GLOBAL (live) collection
+//     (segment.h), per-segment evaluation runs the shared EvaluateTopK
+//     cores with the snapshot's GLOBAL (live) collection
 //     statistics and per-term document frequencies (the PR 3 global-IDF
 //     discipline), and tombstoned documents are skipped without touching
 //     any other document's score.

@@ -63,16 +63,42 @@ std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms) {
   return query;
 }
 
-std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
+/// The evaluation cores, templated on the concrete scorer type `S` so the
+/// posting loops call its kernel directly. A class (not free functions) so
+/// one friend declaration gives every instantiation EvalScratch access.
+class EvalCore {
+ public:
+  template <typename S>
+  static std::vector<ScoredDoc> Taat(const index::InvertedIndex& index,
+                                     const CollectionStats& stats,
+                                     const S& scorer,
+                                     const std::vector<QueryTerm>& query,
+                                     const std::vector<uint32_t>& dfs,
+                                     size_t k, EvalScratch* scratch,
+                                     const std::vector<char>* exclude,
+                                     const util::Deadline* deadline);
+
+  template <typename S>
+  static std::vector<ScoredDoc> MaxScore(const index::InvertedIndex& index,
+                                         const CollectionStats& stats,
+                                         const S& scorer,
+                                         const std::vector<QueryTerm>& query,
+                                         const std::vector<uint32_t>& dfs,
+                                         size_t k, EvalScratch* scratch,
+                                         const std::vector<double>* term_bounds,
+                                         const std::vector<char>* exclude,
+                                         const util::Deadline* deadline);
+};
+
+template <typename S>
+std::vector<ScoredDoc> EvalCore::Taat(const index::InvertedIndex& index,
                                       const CollectionStats& stats,
-                                      const Scorer& scorer,
+                                      const S& scorer,
                                       const std::vector<QueryTerm>& query,
                                       const std::vector<uint32_t>& dfs,
                                       size_t k, EvalScratch* scratch,
                                       const std::vector<char>* exclude,
                                       const util::Deadline* deadline) {
-  TOPPRIV_CHECK_EQ(query.size(), dfs.size());
-  if (query.empty() || k == 0) return {};
   // Hoisted so the common no-tombstone case (exclude == nullptr, every
   // static index and clean segment) pays one null check per posting.
   const char* excluded = exclude != nullptr ? exclude->data() : nullptr;
@@ -90,6 +116,8 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
   std::vector<double>& scores = scratch->scores_;
   std::vector<char>& is_touched = scratch->is_touched_;
   std::vector<corpus::DocId>& touched = scratch->touched_;
+  const uint32_t* doc_lengths = index.doc_lengths().data();
+  const size_t num_documents = index.num_documents();
   index::PostingBlock block;
   // Instrumentation accumulates in locals and flushes ONCE per call:
   // per-posting atomic traffic would swamp the <5% overhead budget.
@@ -98,8 +126,8 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
   for (size_t qi = 0; qi < query.size(); ++qi) {
     const index::PostingList& list = index.Postings(query[qi].term);
     if (list.empty() || dfs[qi] == 0) continue;
-    const uint32_t df = dfs[qi];
-    const uint32_t qtf = query[qi].qtf;
+    const typename S::Kernel kernel =
+        scorer.PrepareTerm(stats, dfs[qi], query[qi].qtf);
     for (size_t b = 0; b < list.num_blocks(); ++b) {
       // Cooperative cancellation, one check per 128-posting block. An
       // abandoned query surfaces NOTHING (the scratch self-heals on the
@@ -110,26 +138,27 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
         return {};
       }
       list.DecodeBlock(b, &block);
+      // Doc ids strictly increase within a block, so bounding the last one
+      // bounds every unchecked doc_lengths/scores/excluded access below.
+      TOPPRIV_CHECK_LT(block.docs[block.count - 1], num_documents);
       ++blocks_decoded;
       postings_scored += block.count;
       for (uint32_t i = 0; i < block.count; ++i) {
         const corpus::DocId doc = block.docs[i];
-        TOPPRIV_DCHECK(doc < scores.size());
         if (excluded != nullptr && excluded[doc]) continue;
         if (!is_touched[doc]) {
           is_touched[doc] = 1;
           touched.push_back(doc);
           scores[doc] = 0.0;
         }
-        scores[doc] += scorer.TermScore(stats, index.DocLength(doc),
-                                        block.tfs[i], df, qtf);
+        scores[doc] += kernel.Score(doc_lengths[doc], block.tfs[i]);
       }
     }
   }
 
   TopK topk(k);
   for (corpus::DocId doc : touched) {
-    topk.Offer(doc, scorer.Normalize(stats, index.DocLength(doc), scores[doc]));
+    topk.Offer(doc, scorer.Normalize(doc_lengths[doc], scores[doc]));
   }
   // Leave the scratch clean for the next query (O(touched), not O(docs)).
   for (corpus::DocId doc : touched) is_touched[doc] = 0;
@@ -245,39 +274,40 @@ inline void CursorAdvanceOne(TermCursor* c) {
 std::vector<double> ComputeTermImpactBounds(
     const index::InvertedIndex& index, const CollectionStats& stats,
     const Scorer& scorer, const std::vector<uint32_t>* global_dfs) {
-  std::vector<double> bounds(index.num_terms(), 0.0);
-  index::PostingBlock block;
-  for (text::TermId t = 0; t < bounds.size(); ++t) {
-    const index::PostingList& list = index.Postings(t);
-    if (list.empty()) continue;
-    const uint32_t df = global_dfs != nullptr
-                            ? (t < global_dfs->size() ? (*global_dfs)[t] : 0)
-                            : list.size();
-    double best = 0.0;
-    for (size_t b = 0; b < list.num_blocks(); ++b) {
-      list.DecodeBlock(b, &block);
-      for (uint32_t i = 0; i < block.count; ++i) {
-        best = std::max(best,
-                        scorer.TermScore(stats, index.DocLength(block.docs[i]),
-                                         block.tfs[i], df, /*qtf=*/1));
+  return VisitScorer(scorer, [&](const auto& s) {
+    std::vector<double> bounds(index.num_terms(), 0.0);
+    const uint32_t* doc_lengths = index.doc_lengths().data();
+    index::PostingBlock block;
+    for (text::TermId t = 0; t < bounds.size(); ++t) {
+      const index::PostingList& list = index.Postings(t);
+      if (list.empty()) continue;
+      const uint32_t df =
+          global_dfs != nullptr
+              ? (t < global_dfs->size() ? (*global_dfs)[t] : 0)
+              : list.size();
+      const auto kernel = s.PrepareTerm(stats, df, /*qtf=*/1);
+      double best = 0.0;
+      for (size_t b = 0; b < list.num_blocks(); ++b) {
+        list.DecodeBlock(b, &block);
+        TOPPRIV_CHECK_LT(block.docs[block.count - 1], index.num_documents());
+        for (uint32_t i = 0; i < block.count; ++i) {
+          best = std::max(
+              best, kernel.Score(doc_lengths[block.docs[i]], block.tfs[i]));
+        }
       }
+      bounds[t] = best;
     }
-    bounds[t] = best;
-  }
-  return bounds;
+    return bounds;
+  });
 }
 
-std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
-                                    const CollectionStats& stats,
-                                    const Scorer& scorer,
-                                    const std::vector<QueryTerm>& query,
-                                    const std::vector<uint32_t>& dfs,
-                                    size_t k, EvalScratch* scratch,
-                                    const std::vector<double>* term_bounds,
-                                    const std::vector<char>* exclude,
-                                    const util::Deadline* deadline) {
-  TOPPRIV_CHECK_EQ(query.size(), dfs.size());
-  if (query.empty() || k == 0) return {};
+template <typename S>
+std::vector<ScoredDoc> EvalCore::MaxScore(
+    const index::InvertedIndex& index, const CollectionStats& stats,
+    const S& scorer, const std::vector<QueryTerm>& query,
+    const std::vector<uint32_t>& dfs, size_t k, EvalScratch* scratch,
+    const std::vector<double>* term_bounds, const std::vector<char>* exclude,
+    const util::Deadline* deadline) {
   const char* excluded = exclude != nullptr ? exclude->data() : nullptr;
   TOPPRIV_DCHECK(exclude == nullptr ||
                  exclude->size() == index.num_documents());
@@ -289,13 +319,17 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
   // across queries.
   std::vector<TermCursor>& cursors = scratch->cursors_;
   if (cursors.size() < query.size()) cursors.resize(query.size());
+  // kernels[i] scores cursor i's term (parallel to `cursors`).
+  auto& kernels =
+      std::get<std::vector<typename S::Kernel>>(scratch->kernels_);
+  kernels.clear();
   size_t m = 0;
   for (size_t qi = 0; qi < query.size(); ++qi) {
     const index::PostingList& list = index.Postings(query[qi].term);
     if (list.empty() || dfs[qi] == 0) continue;
+    kernels.push_back(scorer.PrepareTerm(stats, dfs[qi], query[qi].qtf));
     TermCursor& c = cursors[m++];
     c.list = &list;
-    c.qi = qi;
     c.block_idx = 0;
     c.pos = 0;
     c.block_decoded = false;
@@ -303,11 +337,11 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
     c.doc = list.block(0).first_doc;
     if (term_bounds != nullptr) {
       // Exact max impact at qtf = 1, scaled by qtf. The scaling reorders
-      // the multiplication relative to TermScore's own, so the inflation
+      // the multiplication relative to the kernel's own, so the inflation
       // margin (applied at every use site) is what keeps it a true bound.
       c.ub = static_cast<double>(query[qi].qtf) * (*term_bounds)[query[qi].term];
     } else {
-      c.ub = scorer.UpperBound(stats, dfs[qi], list.max_tf(), query[qi].qtf);
+      c.ub = TermUpperBound(kernels.back(), list.max_tf());
     }
   }
   if (m == 0) return {};
@@ -409,7 +443,7 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
   while (!ess.empty()) {
     // Cooperative cancellation: one check per pivot iteration (each
     // iteration decodes at most a handful of blocks). Same contract as
-    // AccumulateTopK — an expired query returns empty, never partial.
+    // Taat — an expired query returns empty, never partial.
     if (deadline != nullptr && deadline->Expired()) {
       flush_metrics();
       return {};
@@ -423,8 +457,7 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
       while (!e.exhausted && topk.AtCapacity()) {
         const auto& info = e.list->block(e.block_idx);
         const double block_ub =
-            std::min(e.ub, scorer.UpperBound(stats, dfs[e.qi], info.max_tf,
-                                             query[e.qi].qtf));
+            std::min(e.ub, TermUpperBound(kernels[ess[0]], info.max_tf));
         if (InflateBound(block_ub + sorted_prefix[ne]) >= threshold) break;
         ++e.block_idx;
         e.block_decoded = false;
@@ -465,9 +498,7 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
         c.pos = 0;
       }
       if (!pivot_live) continue;
-      const double v = scorer.TermScore(stats, doc_length,
-                                        c.block.tfs[c.pos], dfs[c.qi],
-                                        query[c.qi].qtf);
+      const double v = kernels[ess[x]].Score(doc_length, c.block.tfs[c.pos]);
       partial += v;
       contrib[ess[x]] = v;
       hits.push_back(ess[x]);
@@ -490,9 +521,7 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
         const size_t i = order[j];
         TermCursor& c = cursors[i];
         if (CursorAdvanceTo(&c, pivot)) {
-          const double v = scorer.TermScore(stats, doc_length,
-                                            c.block.tfs[c.pos], dfs[c.qi],
-                                            query[c.qi].qtf);
+          const double v = kernels[i].Score(doc_length, c.block.tfs[c.pos]);
           partial += v;
           contrib[i] = v;
           hits.push_back(static_cast<uint32_t>(i));
@@ -506,7 +535,7 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
         std::sort(hits.begin(), hits.end());
         double acc = 0.0;
         for (const uint32_t i : hits) acc += contrib[i];
-        topk.Offer(pivot, scorer.Normalize(stats, doc_length, acc));
+        topk.Offer(pivot, scorer.Normalize(doc_length, acc));
         ++pivots_offered;
         raise_threshold();
       }
@@ -538,15 +567,16 @@ std::vector<ScoredDoc> EvaluateTopK(EvalStrategy strategy,
                                     const std::vector<double>* term_bounds,
                                     const std::vector<char>* exclude,
                                     const util::Deadline* deadline) {
-  switch (strategy) {
-    case EvalStrategy::kMaxScore:
-      return MaxScoreTopK(index, stats, scorer, query, dfs, k, scratch,
-                          term_bounds, exclude, deadline);
-    case EvalStrategy::kTAAT:
-      break;
-  }
-  return AccumulateTopK(index, stats, scorer, query, dfs, k, scratch, exclude,
-                        deadline);
+  TOPPRIV_CHECK_EQ(query.size(), dfs.size());
+  if (query.empty() || k == 0) return {};
+  return VisitScorer(scorer, [&](const auto& s) {
+    if (strategy == EvalStrategy::kMaxScore) {
+      return EvalCore::MaxScore(index, stats, s, query, dfs, k, scratch,
+                                term_bounds, exclude, deadline);
+    }
+    return EvalCore::Taat(index, stats, s, query, dfs, k, scratch, exclude,
+                          deadline);
+  });
 }
 
 namespace {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -65,8 +66,6 @@ EvalStrategy EvalStrategyFromEnv();
 /// EvalScratch so the ~1.5 KiB block buffers are reused across queries.
 struct TermCursor {
   const index::PostingList* list = nullptr;
-  /// Index into the canonical query order (for qtf/df lookups).
-  size_t qi = 0;
   /// List-level score upper bound for this term.
   double ub = 0.0;
   /// Doc id at the current position, kept hot in the cursor so pivot scans
@@ -93,23 +92,7 @@ class EvalScratch {
   EvalScratch& operator=(const EvalScratch&) = delete;
 
  private:
-  friend std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex&,
-                                               const CollectionStats&,
-                                               const Scorer&,
-                                               const std::vector<QueryTerm>&,
-                                               const std::vector<uint32_t>&,
-                                               size_t, EvalScratch*,
-                                               const std::vector<char>*,
-                                               const util::Deadline*);
-  friend std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex&,
-                                             const CollectionStats&,
-                                             const Scorer&,
-                                             const std::vector<QueryTerm>&,
-                                             const std::vector<uint32_t>&,
-                                             size_t, EvalScratch*,
-                                             const std::vector<double>*,
-                                             const std::vector<char>*,
-                                             const util::Deadline*);
+  friend class EvalCore;
 
   /// Grows the accumulator to cover `num_documents` and resets any state a
   /// previous (possibly abandoned) query left behind.
@@ -129,6 +112,12 @@ class EvalScratch {
   std::vector<uint32_t> essential_;
   std::vector<uint32_t> hits_;
   std::vector<uint32_t> moved_;
+  // Per-term kernels of the query being evaluated (MaxScore), one vector
+  // per concrete scorer type.
+  std::tuple<std::vector<TfIdfCosineScorer::Kernel>,
+             std::vector<Bm25Scorer::Kernel>,
+             std::vector<LmDirichletScorer::Kernel>>
+      kernels_;
 };
 
 /// Collapses a bag of term ids to unique (term, qtf) pairs in ascending
@@ -137,87 +126,49 @@ class EvalScratch {
 /// shapes (and independent of any hash-map iteration order).
 std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms);
 
-/// The shared term-at-a-time evaluation core: accumulates `query` over
-/// `index`'s posting lists into `scratch`, scoring with the collection-wide
-/// `stats` and the per-term document frequencies `dfs` (parallel to
+/// Evaluates `query` against one index part and returns its top `k`: the
+/// core every part of every view runs. `stats` are the collection-wide
+/// statistics and `dfs` the per-term document frequencies (parallel to
 /// `query`; a one-part view passes the index's own df, a multi-part view
-/// the GLOBAL df so every part scores identically), then extracts the top
-/// `k`. Result doc ids are local to `index`; SearchEngine lifts them into
-/// its view's global id space before merging. Every part of every view
-/// runs literally this arithmetic, which is what the bit-parity suite
-/// locks down.
+/// the GLOBAL df so every part scores identically). Result doc ids are
+/// local to `index`; SearchEngine lifts them into its view's global id
+/// space before merging.
+///
+/// The scorer is dispatched ONCE here (VisitScorer) to a core templated on
+/// its concrete type; each query term's kernel is prepared once, so the
+/// posting loops make no virtual call. Both strategies return BIT-identical
+/// lists:
+///  - kTAAT accumulates term-at-a-time over every posting of every term
+///    into `scratch`'s contiguous per-document array, then normalizes.
+///  - kMaxScore is document-at-a-time: every document that survives
+///    pruning re-accumulates its cached per-term contributions in the
+///    identical canonical term order (CollapseQuery), and pruning is
+///    provably safe — per-term bounds dominate every posting's score, bound
+///    sums carry a 1e-9 relative inflation so no floating-point association
+///    difference can prune a document within rounding distance of the
+///    threshold, and a document is only dropped when its inflated bound is
+///    STRICTLY below the current k-th score (a tie could still win on doc
+///    id, so ties are never pruned). `term_bounds` is the
+///    ComputeTermImpactBounds table (nullptr falls back to the analytic
+///    TermUpperBound of each term's kernel); TAAT ignores it.
 ///
 /// `exclude`, when given, is a per-document tombstone mask (parallel to
-/// `index`'s local doc-id space; nonzero = excluded): masked documents
-/// never enter the top-k. The live index evaluates sealed segments with
+/// `index`'s local doc-id space; nonzero = excluded): masked documents are
+/// never scored or offered. The live index evaluates sealed segments with
 /// their delete bitmaps here; since scoring a document reads only its own
 /// posting tf, its own length and the collection-wide stats/df, skipping
 /// masked documents changes no surviving document's score bits — which is
 /// what keeps a live view bit-identical to a static build of the surviving
-/// corpus.
+/// corpus. MaxScore's bounds stay valid: they dominate every posting,
+/// masked ones included.
 ///
-/// `deadline`, when given, is polled once per decoded block. On expiry the
-/// core abandons the query and returns an EMPTY list — a partial top-k is
-/// never surfaced, so accepted (non-expired) queries stay bit-identical to
-/// a run with no deadline at all. Callers that passed a deadline must
-/// re-check Expired() afterward and map the abandonment to
-/// kDeadlineExceeded (EvaluateWithOptions does).
-std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
-                                      const CollectionStats& stats,
-                                      const Scorer& scorer,
-                                      const std::vector<QueryTerm>& query,
-                                      const std::vector<uint32_t>& dfs,
-                                      size_t k, EvalScratch* scratch,
-                                      const std::vector<char>* exclude =
-                                          nullptr,
-                                      const util::Deadline* deadline =
-                                          nullptr);
-
-/// Exact per-term impact bounds: for each term, the maximum TermScore any
-/// of its postings can produce at qtf = 1 (one full walk of the index).
-/// Much tighter than the analytic Scorer::UpperBound (which must assume
-/// the worst doc length AND the list-max tf on the same posting), so the
-/// MaxScore partition turns more terms non-essential and abandons
-/// candidates earlier. SearchEngine computes one per part when built with
-/// the MaxScore strategy — the classic "max impact" metadata of
-/// impact-ordered indexes. `global_dfs`, when given, replaces each list's
-/// local document frequency (multi-part views score with global df, so
-/// their bounds must too).
-std::vector<double> ComputeTermImpactBounds(
-    const index::InvertedIndex& index, const CollectionStats& stats,
-    const Scorer& scorer, const std::vector<uint32_t>* global_dfs = nullptr);
-
-/// Document-at-a-time MaxScore evaluation: same inputs, same outputs as
-/// AccumulateTopK — BIT-identical, because every document that survives
-/// pruning re-accumulates its cached per-term contributions in the
-/// identical canonical term order (CollapseQuery), and pruning is provably
-/// safe: per-term bounds dominate every posting's TermScore, bound sums
-/// carry a 1e-9 relative inflation so no floating-point association
-/// difference can prune a document within rounding distance of the
-/// threshold, and a document is only dropped when its inflated bound is
-/// STRICTLY below the current k-th score (a tie could still win on doc id,
-/// so ties are never pruned). `term_bounds` is the ComputeTermImpactBounds
-/// table (nullptr falls back to the analytic Scorer::UpperBound).
-/// `exclude` is the tombstone mask of AccumulateTopK: a masked pivot is
-/// never scored or offered (its cursors advance past it), and the bounds
-/// stay valid — they dominate every posting, masked ones included.
-/// `deadline` follows the AccumulateTopK contract (polled per pivot
-/// iteration here — every iteration decodes at most a handful of blocks —
-/// and an expired query returns empty, never partial).
-std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
-                                    const CollectionStats& stats,
-                                    const Scorer& scorer,
-                                    const std::vector<QueryTerm>& query,
-                                    const std::vector<uint32_t>& dfs,
-                                    size_t k, EvalScratch* scratch,
-                                    const std::vector<double>* term_bounds =
-                                        nullptr,
-                                    const std::vector<char>* exclude =
-                                        nullptr,
-                                    const util::Deadline* deadline =
-                                        nullptr);
-
-/// Strategy dispatch over the two cores above.
+/// `deadline`, when given, is polled once per decoded block (TAAT) or per
+/// pivot iteration (MaxScore, which decodes at most a handful of blocks per
+/// iteration). On expiry the core abandons the query and returns an EMPTY
+/// list — a partial top-k is never surfaced, so accepted (non-expired)
+/// queries stay bit-identical to a run with no deadline at all. Callers
+/// that passed a deadline must re-check Expired() afterward and map the
+/// abandonment to kDeadlineExceeded (EvaluateWithOptions does).
 std::vector<ScoredDoc> EvaluateTopK(EvalStrategy strategy,
                                     const index::InvertedIndex& index,
                                     const CollectionStats& stats,
@@ -231,6 +182,20 @@ std::vector<ScoredDoc> EvaluateTopK(EvalStrategy strategy,
                                         nullptr,
                                     const util::Deadline* deadline =
                                         nullptr);
+
+/// Exact per-term impact bounds: for each term, the maximum kernel Score
+/// any of its postings produces at qtf = 1 (one full walk of the index).
+/// Much tighter than the analytic TermUpperBound (which must assume the
+/// worst doc length AND the list-max tf on the same posting), so the
+/// MaxScore partition turns more terms non-essential and abandons
+/// candidates earlier. SearchEngine computes one per part when built with
+/// the MaxScore strategy — the classic "max impact" metadata of
+/// impact-ordered indexes. `global_dfs`, when given, replaces each list's
+/// local document frequency (multi-part views score with global df, so
+/// their bounds must too).
+std::vector<double> ComputeTermImpactBounds(
+    const index::InvertedIndex& index, const CollectionStats& stats,
+    const Scorer& scorer, const std::vector<uint32_t>* global_dfs = nullptr);
 
 /// One entry in the engine-side query log: the adversary's view. Queries
 /// arrive as bags of term ids; the engine cannot tell user queries from

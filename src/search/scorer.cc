@@ -6,53 +6,43 @@
 
 namespace toppriv::search {
 
-double TfIdfCosineScorer::TermScore(const CollectionStats& stats,
-                                    uint32_t doc_length, uint32_t tf,
-                                    uint32_t df, uint32_t qtf) const {
-  (void)doc_length;
-  if (df == 0) return 0.0;
+TfIdfCosineScorer::Kernel TfIdfCosineScorer::PrepareTerm(
+    const CollectionStats& stats, uint32_t df, uint32_t qtf) const {
+  Kernel kernel;
+  if (df == 0) return kernel;
   double n = static_cast<double>(stats.num_documents);
   double idf = std::log(1.0 + n / static_cast<double>(df));
-  double dtf = 1.0 + std::log(static_cast<double>(tf));
-  double qw = static_cast<double>(qtf) * idf;
-  return dtf * qw;
+  kernel.qw = static_cast<double>(qtf) * idf;
+  return kernel;
 }
 
-double TfIdfCosineScorer::Normalize(const CollectionStats& stats,
-                                    uint32_t doc_length,
-                                    double accumulated) const {
-  (void)stats;
-  double len = static_cast<double>(doc_length);
-  if (len <= 0.0) return 0.0;
-  return accumulated / std::sqrt(len);
+Bm25Scorer::Kernel Bm25Scorer::PrepareTerm(const CollectionStats& stats,
+                                           uint32_t df, uint32_t qtf) const {
+  Kernel kernel;
+  if (df != 0) {
+    double n = static_cast<double>(stats.num_documents);
+    kernel.idf = std::log(1.0 + (n - static_cast<double>(df) + 0.5) /
+                                    (static_cast<double>(df) + 0.5));
+  }
+  kernel.k1 = k1_;
+  kernel.k1_plus_1 = k1_ + 1.0;
+  kernel.one_minus_b = 1.0 - b_;
+  kernel.b = b_;
+  kernel.avgdl = stats.avg_doc_length;
+  kernel.qtf = static_cast<double>(qtf);
+  return kernel;
 }
 
-double Bm25Scorer::TermScore(const CollectionStats& stats, uint32_t doc_length,
-                             uint32_t tf, uint32_t df, uint32_t qtf) const {
-  if (df == 0) return 0.0;
-  double n = static_cast<double>(stats.num_documents);
-  double idf =
-      std::log(1.0 + (n - static_cast<double>(df) + 0.5) /
-                         (static_cast<double>(df) + 0.5));
-  double dl = static_cast<double>(doc_length);
-  double avgdl = stats.avg_doc_length;
-  double denom =
-      static_cast<double>(tf) +
-      k1_ * (1.0 - b_ + b_ * (avgdl > 0.0 ? dl / avgdl : 1.0));
-  double tf_part = static_cast<double>(tf) * (k1_ + 1.0) / denom;
-  return idf * tf_part * static_cast<double>(qtf);
-}
-
-LmDirichletScorer::LmDirichletScorer(double mu) : mu_(mu) {
+LmDirichletScorer::LmDirichletScorer(double mu)
+    : Scorer(Kind::kLmDirichlet), mu_(mu) {
   TOPPRIV_CHECK_GT(mu, 0.0);
 }
 
-double LmDirichletScorer::TermScore(const CollectionStats& stats,
-                                    uint32_t doc_length, uint32_t tf,
-                                    uint32_t df, uint32_t qtf) const {
-  (void)doc_length;
+LmDirichletScorer::Kernel LmDirichletScorer::PrepareTerm(
+    const CollectionStats& stats, uint32_t df, uint32_t qtf) const {
+  Kernel kernel;
   double total = static_cast<double>(stats.total_tokens);
-  if (total <= 0.0) return 0.0;
+  if (total <= 0.0) return kernel;
   // The term-at-a-time API exposes tf/df only, so df serves as the
   // collection-frequency proxy in the smoothing denominator. Rank-equivalent
   // Dirichlet form: qtf * log(1 + tf / (mu * p(w|C))); the per-document
@@ -60,16 +50,9 @@ double LmDirichletScorer::TermScore(const CollectionStats& stats,
   // simplification: it drops the |q| coefficient, which is constant within
   // a query and only mildly re-weights the document-length prior).
   double p_coll = static_cast<double>(df > 0 ? df : 1) / total;
-  return static_cast<double>(qtf) *
-         std::log(1.0 + static_cast<double>(tf) / (mu_ * p_coll));
-}
-
-double LmDirichletScorer::Normalize(const CollectionStats& stats,
-                                    uint32_t doc_length,
-                                    double accumulated) const {
-  (void)stats;
-  double dl = static_cast<double>(doc_length);
-  return accumulated + std::log(mu_ / (dl + mu_));
+  kernel.qtf = static_cast<double>(qtf);
+  kernel.mu_p_coll = mu_ * p_coll;
+  return kernel;
 }
 
 std::unique_ptr<Scorer> MakeTfIdfScorer() {

@@ -11,11 +11,14 @@
 #include "search/eval.h"
 #include "search/scorer.h"
 #include "search/topk.h"
+#include "tests/scorer_oracle.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
 
 namespace toppriv::search {
 namespace {
+
+using toppriv::testing::OracleScorer;
 
 // ------------------------------------------------------------------ TopK --
 
@@ -89,9 +92,10 @@ TEST(ScorerTest, Bm25MonotoneInTf) {
   corpus::Corpus c = toppriv::testing::TinyCorpus();
   index::InvertedIndex index = index::InvertedIndex::Build(c);
   CollectionStats stats = CollectionStats::Of(index);
-  Bm25Scorer scorer;
-  double s1 = scorer.TermScore(stats, index.DocLength(0), 1, 2, 1);
-  double s2 = scorer.TermScore(stats, index.DocLength(0), 3, 2, 1);
+  const Bm25Scorer::Kernel kernel =
+      Bm25Scorer().PrepareTerm(stats, /*df=*/2, /*qtf=*/1);
+  double s1 = kernel.Score(index.DocLength(0), 1);
+  double s2 = kernel.Score(index.DocLength(0), 3);
   EXPECT_GT(s2, s1);
   EXPECT_GT(s1, 0.0);
 }
@@ -101,8 +105,8 @@ TEST(ScorerTest, Bm25RarerTermsScoreHigher) {
   index::InvertedIndex index = index::InvertedIndex::Build(c);
   CollectionStats stats = CollectionStats::Of(index);
   Bm25Scorer scorer;
-  double rare = scorer.TermScore(stats, index.DocLength(0), 2, 1, 1);
-  double common = scorer.TermScore(stats, index.DocLength(0), 2, 4, 1);
+  double rare = scorer.PrepareTerm(stats, 1, 1).Score(index.DocLength(0), 2);
+  double common = scorer.PrepareTerm(stats, 4, 1).Score(index.DocLength(0), 2);
   EXPECT_GT(rare, common);
 }
 
@@ -111,26 +115,25 @@ TEST(ScorerTest, TfIdfNormalizationDividesBySqrtLength) {
   index::InvertedIndex index = index::InvertedIndex::Build(c);
   TfIdfCosineScorer scorer;
   // doc 2 has length 5.
-  EXPECT_NEAR(scorer.Normalize(CollectionStats::Of(index), index.DocLength(2),
-                               10.0),
+  EXPECT_NEAR(scorer.Normalize(index.DocLength(2), 10.0),
               10.0 / std::sqrt(5.0), 1e-12);
 }
 
 TEST(ScorerTest, TfIdfZeroDfIsZero) {
   corpus::Corpus c = toppriv::testing::TinyCorpus();
   index::InvertedIndex index = index::InvertedIndex::Build(c);
-  TfIdfCosineScorer scorer;
-  EXPECT_DOUBLE_EQ(
-      scorer.TermScore(CollectionStats::Of(index), index.DocLength(0), 3, 0, 1),
-      0.0);
+  EXPECT_DOUBLE_EQ(TfIdfCosineScorer()
+                       .PrepareTerm(CollectionStats::Of(index), /*df=*/0, 1)
+                       .Score(index.DocLength(0), 3),
+                   0.0);
 }
 
 TEST(ScorerTest, LmDirichletPrefersMatchingDocs) {
   corpus::Corpus c = toppriv::testing::TinyCorpus();
   index::InvertedIndex index = index::InvertedIndex::Build(c);
   LmDirichletScorer scorer(100.0);
-  double with_term =
-      scorer.TermScore(CollectionStats::Of(index), index.DocLength(0), 2, 3, 1);
+  double with_term = scorer.PrepareTerm(CollectionStats::Of(index), 3, 1)
+                         .Score(index.DocLength(0), 2);
   EXPECT_GT(with_term, 0.0);
 }
 
@@ -155,46 +158,71 @@ TEST(EngineTest, FindsMatchingDocuments) {
   EXPECT_EQ(results[0].doc, 0u);
 }
 
+std::unique_ptr<Scorer> ScorerByKind(int which) {
+  switch (which) {
+    case 0:
+      return MakeBm25Scorer();
+    case 1:
+      return MakeTfIdfScorer();
+    default:
+      return std::make_unique<LmDirichletScorer>();
+  }
+}
+
 TEST(EngineTest, MatchesBruteForceScoring) {
+  // Every document scored from its raw tokens with the one-shot oracle
+  // formulas, summed in ascending term order (std::map), then normalized.
+  // That is the canonical CollapseQuery accumulation order, so the engine
+  // must match the score BITS, not just approximately: an arithmetic change
+  // made to both strategies at once passes every cross-strategy parity test
+  // but not this one.
   const auto& world = toppriv::testing::World();
-  SearchEngine engine(world.corpus, world.index, MakeBm25Scorer());
-  Bm25Scorer reference;
+  const CollectionStats stats = CollectionStats::Of(world.index);
+  for (int kind = 0; kind < 3; ++kind) {
+    SearchEngine engine(world.corpus, world.index, ScorerByKind(kind));
+    const OracleScorer reference = OracleScorer::Of(engine.scorer().kind());
 
-  util::Rng rng(71);
-  for (int trial = 0; trial < 10; ++trial) {
-    // Random 3-term query over the vocabulary.
-    std::vector<text::TermId> query;
-    for (int i = 0; i < 3; ++i) {
-      query.push_back(static_cast<text::TermId>(
-          rng.UniformInt(uint64_t{world.corpus.vocabulary_size()})));
-    }
-    std::vector<ScoredDoc> got = engine.Evaluate(query, 20);
-
-    // Brute force: score every document directly.
-    CollectionStats stats = CollectionStats::Of(world.index);
-    std::map<text::TermId, uint32_t> qtf;
-    for (text::TermId t : query) ++qtf[t];
-    TopK expected(20);
-    for (const corpus::Document& d : world.corpus.documents()) {
-      std::map<text::TermId, uint32_t> tf;
-      for (text::TermId t : d.tokens) ++tf[t];
-      double score = 0.0;
-      bool any = false;
-      for (const auto& [term, qcount] : qtf) {
-        auto it = tf.find(term);
-        if (it == tf.end()) continue;
-        any = true;
-        score += reference.TermScore(stats, world.index.DocLength(d.id),
-                                     it->second, world.index.DocFreq(term),
-                                     qcount);
+    util::Rng rng(71);
+    for (int trial = 0; trial < 10; ++trial) {
+      // Random 3-term query over the vocabulary. Odd trials repeat the
+      // first term twice more: qtf = 3 is the first query frequency whose
+      // product does not round the same in every association order.
+      std::vector<text::TermId> query;
+      for (int i = 0; i < 3; ++i) {
+        query.push_back(static_cast<text::TermId>(
+            rng.UniformInt(uint64_t{world.corpus.vocabulary_size()})));
       }
-      if (any) expected.Offer(d.id, score);
-    }
-    std::vector<ScoredDoc> want = expected.Finish();
-    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].doc, want[i].doc);
-      EXPECT_NEAR(got[i].score, want[i].score, 1e-9);
+      if (trial % 2 == 1) query.insert(query.end(), 2, query[0]);
+      std::vector<ScoredDoc> got = engine.Evaluate(query, 20);
+
+      // Brute force: score every document directly.
+      std::map<text::TermId, uint32_t> qtf;
+      for (text::TermId t : query) ++qtf[t];
+      TopK expected(20);
+      for (const corpus::Document& d : world.corpus.documents()) {
+        std::map<text::TermId, uint32_t> tf;
+        for (text::TermId t : d.tokens) ++tf[t];
+        const uint32_t dl = world.index.DocLength(d.id);
+        double score = 0.0;
+        bool any = false;
+        for (const auto& [term, qcount] : qtf) {
+          auto it = tf.find(term);
+          if (it == tf.end()) continue;
+          any = true;
+          score += reference.TermScore(stats, dl, it->second,
+                                       world.index.DocFreq(term), qcount);
+        }
+        if (any) expected.Offer(d.id, reference.Normalize(dl, score));
+      }
+      std::vector<ScoredDoc> want = expected.Finish();
+      ASSERT_EQ(got.size(), want.size())
+          << engine.scorer().Name() << " trial " << trial;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].doc, want[i].doc)
+            << engine.scorer().Name() << " trial " << trial << " rank " << i;
+        EXPECT_EQ(got[i].score, want[i].score)
+            << engine.scorer().Name() << " trial " << trial << " rank " << i;
+      }
     }
   }
 }
@@ -204,7 +232,7 @@ TEST(EngineTest, MatchesBruteForceScoring) {
 // canonical CollapseQuery term order, so the floating-point accumulation
 // order is identical and the comparison below can demand bit equality.
 std::vector<ScoredDoc> MapBasedEvaluate(const index::InvertedIndex& index,
-                                        const Scorer& scorer,
+                                        const OracleScorer& scorer,
                                         const std::vector<text::TermId>& terms,
                                         size_t k) {
   if (terms.empty() || k == 0) return {};
@@ -222,7 +250,7 @@ std::vector<ScoredDoc> MapBasedEvaluate(const index::InvertedIndex& index,
   }
   TopK topk(k);
   for (const auto& [doc, acc] : accumulators) {
-    topk.Offer(doc, scorer.Normalize(stats, index.DocLength(doc), acc));
+    topk.Offer(doc, scorer.Normalize(index.DocLength(doc), acc));
   }
   return topk.Finish();
 }
@@ -265,7 +293,8 @@ TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
         }
       }
       std::vector<ScoredDoc> want =
-          MapBasedEvaluate(world.index, engine.scorer(), query, 15);
+          MapBasedEvaluate(world.index,
+                           OracleScorer::Of(engine.scorer().kind()), query, 15);
       std::vector<ScoredDoc> got = engine.Evaluate(query, 15);
       // Also through the core with a caller-owned scratch reused across all
       // trials: reuse must not leak state between queries.
@@ -287,48 +316,39 @@ TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
 
 // ---------------------------------------------------- MaxScore vs TAAT --
 
-std::unique_ptr<Scorer> ScorerByKind(int which) {
-  switch (which) {
-    case 0:
-      return MakeBm25Scorer();
-    case 1:
-      return MakeTfIdfScorer();
-    default:
-      return std::make_unique<LmDirichletScorer>();
-  }
-}
-
 TEST(MaxScoreTest, UpperBoundDominatesEveryPostingScore) {
   // The safety premise of MaxScore pruning: for every term, the list-level
-  // (and block-level) UpperBound is >= the TermScore of every posting,
-  // compared as exact doubles.
+  // (and block-level) TermUpperBound is >= the kernel Score of every
+  // posting, compared as exact doubles.
   const auto& world = toppriv::testing::World();
   CollectionStats stats = CollectionStats::Of(world.index);
   for (int kind = 0; kind < 3; ++kind) {
     std::unique_ptr<Scorer> scorer = ScorerByKind(kind);
-    for (text::TermId t = 0; t < world.index.num_terms(); ++t) {
-      const index::PostingList& list = world.index.Postings(t);
-      if (list.empty()) continue;
-      const uint32_t df = world.index.DocFreq(t);
-      for (uint32_t qtf : {1u, 3u}) {
-        const double list_ub = scorer->UpperBound(stats, df, list.max_tf(), qtf);
-        size_t b = 0;
-        index::PostingBlock block;
-        for (; b < list.num_blocks(); ++b) {
-          const double block_ub =
-              scorer->UpperBound(stats, df, list.block(b).max_tf, qtf);
-          EXPECT_LE(block_ub, list_ub) << "term " << t << " block " << b;
-          list.DecodeBlock(b, &block);
-          for (uint32_t i = 0; i < block.count; ++i) {
-            const double s =
-                scorer->TermScore(stats, world.index.DocLength(block.docs[i]),
-                                  block.tfs[i], df, qtf);
-            ASSERT_LE(s, block_ub)
-                << scorer->Name() << " term " << t << " doc " << block.docs[i];
+    VisitScorer(*scorer, [&](const auto& s) {
+      for (text::TermId t = 0; t < world.index.num_terms(); ++t) {
+        const index::PostingList& list = world.index.Postings(t);
+        if (list.empty()) continue;
+        const uint32_t df = world.index.DocFreq(t);
+        for (uint32_t qtf : {1u, 3u}) {
+          const auto kernel = s.PrepareTerm(stats, df, qtf);
+          const double list_ub = TermUpperBound(kernel, list.max_tf());
+          size_t b = 0;
+          index::PostingBlock block;
+          for (; b < list.num_blocks(); ++b) {
+            const double block_ub =
+                TermUpperBound(kernel, list.block(b).max_tf);
+            EXPECT_LE(block_ub, list_ub) << "term " << t << " block " << b;
+            list.DecodeBlock(b, &block);
+            for (uint32_t i = 0; i < block.count; ++i) {
+              const double v = kernel.Score(
+                  world.index.DocLength(block.docs[i]), block.tfs[i]);
+              ASSERT_LE(v, block_ub)
+                  << s.Name() << " term " << t << " doc " << block.docs[i];
+            }
           }
         }
       }
-    }
+    });
   }
 }
 
