@@ -1,5 +1,6 @@
 // Round-trips every checked-in fuzz seed (fuzz/corpus/<target>/*) through
-// the deserializer its fuzz target exercises, under the PLAIN test build —
+// the deserializer its fuzz target exercises (and replays the query_parity
+// plans through their harness), under the PLAIN test build —
 // so corpus rot (a format change that silently invalidates the seeds, or a
 // gen_seeds drift) fails CI long before the weekly fuzz job would notice
 // its starting points all parse as garbage.
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz/query_parity.h"
 #include "index/inverted_index.h"
 #include "index/live/wal.h"
 #include "index/posting_list.h"
@@ -91,6 +93,17 @@ TEST(FuzzCorpusTest, WalSeedsParse) {
     } else {
       EXPECT_TRUE(replay->tail_lost) << name;
     }
+  }
+}
+
+TEST(FuzzCorpusTest, QueryParitySeedsAgreeAcrossViews) {
+  for (const auto& [name, bytes] : LoadSeeds("query_parity")) {
+    const auto* data = reinterpret_cast<const uint8_t*>(bytes.data());
+    const fuzz::QueryParityPlan plan =
+        fuzz::DecodeQueryParityPlan(data, bytes.size());
+    EXPECT_EQ(fuzz::EncodeQueryParityPlan(plan), bytes)
+        << name << " is not canonical";
+    EXPECT_EQ(fuzz::CheckQueryParity(plan), "") << name;
   }
 }
 
