@@ -1,7 +1,6 @@
 // Microbenchmarks for the hot paths: index construction, posting-list
-// decoding (iterator and block-batch), query evaluation under both
-// strategies (TAAT and MaxScore), live-index ingest (docs/s vs batch
-// size), segment merging, LDA query inference and ghost generation.
+// decoding (iterator and block-batch), query evaluation, live-index
+// ingest (docs/s vs batch size), segment merging, LDA query inference and ghost generation.
 // Complements the figure-level benches with per-operation numbers (the
 // paper's Figs. 2d/3d report end-to-end generation time; these break it
 // down).
@@ -251,7 +250,7 @@ uint64_t KernelMetricsCounter() {
 uint64_t KernelInstrumentedQuery(search::SearchEngine& engine, size_t* qi) {
   // KernelQueryEvaluation plus the full per-query instrumentation set a
   // serving cycle attaches: one trace span and one latency histogram
-  // observation. The delta against QueryEvaluation/maxscore is the
+  // observation. The delta against BM_QueryEvaluation/0 is the
   // instrumentation overhead; nothing gates that delta automatically —
   // tools/bench_compare.py only compares each cell with its own baseline
   // (the 10% threshold), so read the two cells side by side.
@@ -365,22 +364,16 @@ void BM_WalGroupCommit(benchmark::State& state) {
 BENCHMARK(BM_WalGroupCommit)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_QueryEvaluation(benchmark::State& state) {
-  // Arg 0: 0 = TAAT, 1 = MaxScore — the strategy comparison in one chart.
   const auto& world = World();
   search::SearchEngine engine(world.corpus, world.index,
-                              search::MakeBm25Scorer(),
-                              state.range(0) == 0
-                                  ? search::EvalStrategy::kTAAT
-                                  : search::EvalStrategy::kMaxScore);
+                              search::MakeBm25Scorer());
   size_t qi = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(KernelQueryEvaluation(engine, &qi));
   }
 }
-BENCHMARK(BM_QueryEvaluation)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
+// Arg(0) is unused; it keeps the cell name of the committed baseline.
+BENCHMARK(BM_QueryEvaluation)->Arg(0)->Unit(benchmark::kMicrosecond);
 
 void BM_MetricsCounter(benchmark::State& state) {
   for (auto _ : state) {
@@ -395,8 +388,7 @@ BENCHMARK(BM_MetricsCounter)->Unit(benchmark::kMicrosecond);
 void BM_InstrumentedQuery(benchmark::State& state) {
   const auto& world = World();
   search::SearchEngine engine(world.corpus, world.index,
-                              search::MakeBm25Scorer(),
-                              search::EvalStrategy::kMaxScore);
+                              search::MakeBm25Scorer());
   size_t qi = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(KernelInstrumentedQuery(engine, &qi));

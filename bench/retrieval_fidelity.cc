@@ -89,9 +89,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nRetrieval fidelity under privacy protection (k=%zu, engine: %zu "
-      "shard(s), %s evaluation)\n",
-      k, fixture.config().num_shards,
-      search::EvalStrategyName(engine.eval_strategy()));
+      "shard(s))\n",
+      k, fixture.config().num_shards);
   std::printf("%s", table.ToString().c_str());
   std::printf(
       "\npaper claim check: TopPriv preserves results exactly (%zu/%zu);\n"
@@ -105,10 +104,9 @@ int main(int argc, char** argv) {
     json.Field("bench", "retrieval_fidelity");
     // Bumped when the emitted fields change; bench_compare.py warns (never
     // fails) when baseline and current disagree.
-    json.Field("schema_version", static_cast<uint64_t>(2));
+    json.Field("schema_version", static_cast<uint64_t>(3));
     json.Field("k", static_cast<uint64_t>(k));
     json.Field("num_topics", static_cast<uint64_t>(num_topics));
-    json.Field("strategy", search::EvalStrategyName(engine.eval_strategy()));
     json.Field("shards", static_cast<uint64_t>(fixture.config().num_shards));
     json.Field("queries", static_cast<uint64_t>(queries));
     json.Field("toppriv_identical", static_cast<uint64_t>(toppriv_identical));

@@ -209,17 +209,14 @@ inline std::string EncodeQueryParityPlan(const QueryParityPlan& plan) {
 /// Runs `plan` and returns "" when every view agrees with the static
 /// reference bit for bit, else a description of the first disagreement.
 inline std::string CheckQueryParity(const QueryParityPlan& plan) {
-  using search::EvalStrategy;
   using search::ScoredDoc;
   using search::SearchEngine;
   constexpr int kScorers = 3;
-  const EvalStrategy kStrategies[] = {EvalStrategy::kTAAT,
-                                      EvalStrategy::kMaxScore};
   constexpr size_t kPoolThreads = 2;
 
   // The live engines borrow this corpus only for corpus(); they score from
-  // the snapshot they acquire, so one engine per (scorer, strategy) lives
-  // across the whole schedule.
+  // the snapshot they acquire, so one engine per scorer lives across the
+  // whole schedule.
   const corpus::Corpus host = internal::EmptyCorpus(plan.vocab);
   index::live::LiveIndexOptions options;
   options.max_writer_docs = plan.writer_docs;
@@ -228,12 +225,10 @@ inline std::string CheckQueryParity(const QueryParityPlan& plan) {
   std::vector<std::unique_ptr<SearchEngine>> live_seq;
   std::vector<std::unique_ptr<SearchEngine>> live_pooled;
   for (int s = 0; s < kScorers; ++s) {
-    for (EvalStrategy strategy : kStrategies) {
-      live_seq.push_back(std::make_unique<SearchEngine>(
-          host, live, internal::MakeScorer(s), strategy));
-      live_pooled.push_back(std::make_unique<SearchEngine>(
-          host, live, internal::MakeScorer(s), strategy, kPoolThreads));
-    }
+    live_seq.push_back(
+        std::make_unique<SearchEngine>(host, live, internal::MakeScorer(s)));
+    live_pooled.push_back(std::make_unique<SearchEngine>(
+        host, live, internal::MakeScorer(s), kPoolThreads));
   }
 
   // Mirror of the live collection: surviving documents in stable order.
@@ -265,35 +260,26 @@ inline std::string CheckQueryParity(const QueryParityPlan& plan) {
         index::InvertedIndex::Build(expected);
     const index::ShardedIndex sharded_index =
         index::ShardedIndex::Build(expected, plan.shards);
-    size_t e = 0;
     for (int s = 0; s < kScorers; ++s) {
-      const SearchEngine reference(expected, mono_index,
-                                   internal::MakeScorer(s));
-      for (EvalStrategy strategy : kStrategies) {
-        const SearchEngine mono(expected, mono_index, internal::MakeScorer(s),
-                                strategy);
-        const SearchEngine sharded(expected, sharded_index,
-                                   internal::MakeScorer(s), strategy);
-        const struct {
-          const char* name;
-          const SearchEngine* engine;
-        } views[] = {{"monolithic", &mono},
-                     {"sharded", &sharded},
-                     {"live", live_seq[e].get()},
-                     {"live-pooled", live_pooled[e].get()}};
-        ++e;
-        for (size_t qi = 0; qi < plan.queries.size(); ++qi) {
-          const QueryParityPlan::Query& q = plan.queries[qi];
-          const std::vector<ScoredDoc> want = reference.Evaluate(q.terms, q.k);
-          for (const auto& view : views) {
-            const std::string diff =
-                internal::Diff(view.engine->Evaluate(q.terms, q.k), want);
-            if (!diff.empty()) {
-              return fail(std::string(view.name) + " " +
-                          search::EvalStrategyName(strategy) + " scorer " +
-                          std::to_string(s) + " query " +
-                          std::to_string(qi) + ": " + diff);
-            }
+      const SearchEngine mono(expected, mono_index, internal::MakeScorer(s));
+      const SearchEngine sharded(expected, sharded_index,
+                                 internal::MakeScorer(s));
+      const struct {
+        const char* name;
+        const SearchEngine* engine;
+      } views[] = {{"sharded", &sharded},
+                   {"live", live_seq[s].get()},
+                   {"live-pooled", live_pooled[s].get()}};
+      for (size_t qi = 0; qi < plan.queries.size(); ++qi) {
+        const QueryParityPlan::Query& q = plan.queries[qi];
+        const std::vector<ScoredDoc> want = mono.Evaluate(q.terms, q.k);
+        for (const auto& view : views) {
+          const std::string diff =
+              internal::Diff(view.engine->Evaluate(q.terms, q.k), want);
+          if (!diff.empty()) {
+            return fail(std::string(view.name) + " scorer " +
+                        std::to_string(s) + " query " + std::to_string(qi) +
+                        ": " + diff);
           }
         }
       }

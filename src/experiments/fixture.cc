@@ -69,7 +69,6 @@ FixtureConfig FixtureConfig::FromEnv() {
   config.cache_dir = EnvString("TOPPRIV_CACHE_DIR", ".toppriv_cache");
   config.num_shards = EnvSize("TOPPRIV_SHARDS", 1);
   config.shard_threads = EnvSize("TOPPRIV_SHARD_THREADS", 1);
-  config.eval_strategy = search::EvalStrategyFromEnv();
   config.live_ingest_upfront = EnvFraction("TOPPRIV_LIVE_INGEST", 0.5);
   config.live_eval_threads = EnvSize("TOPPRIV_LIVE_EVAL_THREADS", 1);
   config.durability = EnvDurability("TOPPRIV_DURABILITY");
@@ -180,16 +179,13 @@ std::unique_ptr<index::live::LiveIndex> ExperimentFixture::MakeLiveIndex(
 
 std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(
     std::unique_ptr<search::Scorer> scorer, size_t num_shards,
-    size_t shard_threads, std::optional<search::EvalStrategy> strategy) {
-  const search::EvalStrategy eval =
-      strategy.value_or(config_.eval_strategy);
+    size_t shard_threads, std::optional<search::EvalStrategy> /*strategy*/) {
   if (num_shards <= 1) {
     return std::make_unique<search::SearchEngine>(corpus(), index(),
-                                                  std::move(scorer), eval);
+                                                  std::move(scorer));
   }
   return std::make_unique<search::SearchEngine>(
-      corpus(), sharded_index(num_shards), std::move(scorer), eval,
-      shard_threads);
+      corpus(), sharded_index(num_shards), std::move(scorer), shard_threads);
 }
 
 std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(

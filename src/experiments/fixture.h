@@ -57,9 +57,8 @@ struct FixtureConfig {
   /// Fan-out threads for MakeEngine's sharded engine (1 = sequential
   /// scatter on the caller's thread; 0 = hardware concurrency).
   size_t shard_threads = 1;
-  /// Query evaluation strategy MakeEngine wires into the engine
-  /// (TOPPRIV_EVAL_STRATEGY: "taat" or "maxscore"). Results are
-  /// bit-identical either way; this sweeps performance only.
+  /// Ignored: perfbench is its only user; the benchmark change of ROADMAP
+  /// item 5 removes it.
   search::EvalStrategy eval_strategy = search::EvalStrategy::kTAAT;
   /// Fraction of the corpus a MakeLiveIndex live index ingests up-front
   /// (TOPPRIV_LIVE_INGEST, clamped to [0, 1]); the remainder is streamed
@@ -122,12 +121,11 @@ class ExperimentFixture {
   /// Builds a query engine over the fixture corpus: a SearchEngine over
   /// index() when `num_shards` <= 1, over sharded_index(num_shards)
   /// otherwise (with `shard_threads` fan-out workers; 1 = sequential
-  /// scatter).
-  /// `strategy` overrides the config's evaluation strategy when set. Every
-  /// figure bench that takes its engine from here runs sharded by setting
-  /// TOPPRIV_SHARDS (and MaxScore by setting TOPPRIV_EVAL_STRATEGY) —
-  /// results are identical by the parity contract, so the figures are
-  /// architecture-independent.
+  /// scatter). Every figure bench that takes its engine from here runs
+  /// sharded by setting TOPPRIV_SHARDS — results are identical by the
+  /// parity contract, so the figures are architecture-independent.
+  /// `strategy` is ignored: perfbench is its only reader; the benchmark
+  /// change of ROADMAP item 5 removes it.
   std::unique_ptr<search::QueryEngine> MakeEngine(
       std::unique_ptr<search::Scorer> scorer, size_t num_shards,
       size_t shard_threads = 1,

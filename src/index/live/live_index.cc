@@ -201,7 +201,6 @@ bool LiveIndex::DeleteLocked(StableId stable) {
   }
   --running_live_docs_;
   running_live_tokens_ -= e.segment->index().DocLength(local);
-  ++df_version_;
   MarkDirtyLocked();
   MaybeScheduleMergeLocked();
   return true;
@@ -223,7 +222,6 @@ void LiveIndex::EnsureTermSpace(size_t num_terms) {
     if (num_terms > num_terms_) {
       num_terms_ = num_terms;
       running_df_.resize(num_terms_, 0);
-      ++df_version_;  // the published df table widens
       MarkDirtyLocked();
     }
   }
@@ -343,7 +341,6 @@ void LiveIndex::AddSegmentStatsLocked(const Segment& segment) {
   }
   running_live_docs_ += idx.num_documents();
   running_live_tokens_ += idx.total_tokens();
-  ++df_version_;
 }
 
 void LiveIndex::MarkDirtyLocked() {
@@ -382,7 +379,6 @@ std::shared_ptr<const IndexSnapshot> LiveIndex::PublishLocked() {
   // never stall behind them.
   const uint64_t plan_seq = mutation_seq_;
   const size_t plan_terms = num_terms_;
-  const uint64_t plan_df_version = df_version_;
   const uint64_t plan_docs = running_live_docs_;
   const uint64_t plan_tokens = running_live_tokens_;
   std::vector<uint32_t> plan_df(running_df_);
@@ -396,7 +392,6 @@ std::shared_ptr<const IndexSnapshot> LiveIndex::PublishLocked() {
   snap->num_terms_ = plan_terms;
   snap->global_df_ = std::move(plan_df);
   snap->global_df_.resize(plan_terms, 0);
-  snap->df_version_ = plan_df_version;
   corpus::DocId base = 0;
   for (const Entry& e : plan) {
     const InvertedIndex& idx = e.segment->index();
@@ -875,7 +870,6 @@ util::StatusOr<std::unique_ptr<LiveIndex>> LiveIndex::Deserialize(
       }
     }
   }
-  ++live->df_version_;
   live->MarkDirtyLocked();
   live->PublishLocked();
   return live;

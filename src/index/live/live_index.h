@@ -28,9 +28,9 @@
 //  2. Identical per-document arithmetic. Sealed segments' posting lists
 //     are byte-identical to a static BuildRange over their documents
 //     (segment.h), per-segment evaluation runs the shared EvaluateTopK
-//     cores with the snapshot's GLOBAL (live) collection
-//     statistics and per-term document frequencies (the PR 3 global-IDF
-//     discipline), and tombstoned documents are skipped without touching
+//     core with the snapshot's GLOBAL (live) collection statistics and
+//     per-term document frequencies (the global-IDF discipline), and
+//     tombstoned documents are skipped without touching
 //     any other document's score.
 //  3. Deterministic merge of per-segment top-k lists through TopK's
 //     (score desc, dense id asc) total order.
@@ -78,7 +78,7 @@ class WalWriter;
 struct SnapshotSegment {
   std::shared_ptr<const Segment> segment;
   /// Tombstone mask parallel to local doc ids (1 = deleted); evaluators
-  /// pass it straight to the shared cores' `exclude` parameter.
+  /// pass it straight to the shared core's `exclude` parameter.
   std::shared_ptr<const std::vector<char>> deleted;
   /// Dense id of this segment's first live document.
   corpus::DocId dense_base = 0;
@@ -137,14 +137,6 @@ class IndexSnapshot {
   /// Monotonic snapshot sequence number (diagnostics).
   uint64_t generation() const { return generation_; }
 
-  /// Version of the global df / collection statistics this snapshot was
-  /// built from. Bumped by every df-changing mutation (seal, delete,
-  /// term-space growth), NOT by df-neutral ones (merge commits). Consumers
-  /// caching anything derived from the stats — e.g. the live SearchEngine's
-  /// per-segment impact-bound tables — key the cache on this and discard
-  /// when it moves.
-  uint64_t df_version() const { return df_version_; }
-
  private:
   friend class LiveIndex;
   /// Segment owning dense id `dense` (index into segments_).
@@ -157,7 +149,6 @@ class IndexSnapshot {
   uint64_t total_tokens_ = 0;
   double avg_doc_length_ = 0.0;
   uint64_t generation_ = 0;
-  uint64_t df_version_ = 0;
 };
 
 /// When the WAL is fsync'd relative to acknowledging a mutation. "Acked
@@ -456,7 +447,7 @@ class LiveIndex {
   /// for everything appended so far.
   bool AckDurableThrough(uint64_t ack_seq) EXCLUDES(mu_);
   /// Folds a freshly sealed segment's postings into the running global-df
-  /// and doc/token aggregates, bumping df_version_.
+  /// and doc/token aggregates.
   void AddSegmentStatsLocked(const Segment& segment) REQUIRES(mu_);
   /// Serialization body shared by Serialize and Checkpoint; the writer
   /// must already be sealed and merges drained.
@@ -504,10 +495,6 @@ class LiveIndex {
   std::vector<uint32_t> running_df_ GUARDED_BY(mu_);
   uint64_t running_live_docs_ GUARDED_BY(mu_) = 0;
   uint64_t running_live_tokens_ GUARDED_BY(mu_) = 0;
-  /// Bumped on every mutation that changes the published global df or
-  /// collection stats (seal, delete, term-space growth, deserialize).
-  /// Snapshots carry it so downstream caches can invalidate.
-  uint64_t df_version_ GUARDED_BY(mu_) = 0;
   /// Guards ONLY current_, so Acquire never waits behind snapshot
   /// construction or merge commits. Lock order: mu_ before snapshot_mu_.
   mutable util::Mutex snapshot_mu_;

@@ -13,9 +13,8 @@
 // the very first delta of the list is the absolute doc id — so ByteSize()
 // is byte-for-byte the classic interleaved delta+varint size the paper's
 // Fig. 6 / §II arithmetic (and ShardedIndex::ComputeStats's cross-shard
-// re-pricing) assume. A per-block directory carries each block's first and
-// last doc id (forward skipping without decoding) and its maximum tf
-// (block-level score upper bounds for the MaxScore evaluator).
+// re-pricing) assume. A per-block directory carries each block's offset,
+// posting count and first and last doc id.
 #ifndef TOPPRIV_INDEX_POSTING_LIST_H_
 #define TOPPRIV_INDEX_POSTING_LIST_H_
 
@@ -62,14 +61,12 @@ class PostingList {
  public:
   /// Per-block directory entry. `offset` points at the block's delta group
   /// inside the encoded byte stream; `first_doc`/`last_doc` bound the
-  /// block's doc ids (skipping), `max_tf` bounds its term frequencies
-  /// (score upper bounds).
+  /// block's doc ids.
   struct BlockInfo {
     uint32_t offset = 0;
     uint32_t count = 0;
     corpus::DocId first_doc = 0;
     corpus::DocId last_doc = 0;
-    uint32_t max_tf = 0;
   };
 
   PostingList() = default;
@@ -90,7 +87,6 @@ class PostingList {
     uint32_t count_ = 0;
     corpus::DocId last_doc_ = 0;
     bool has_any_ = false;
-    uint32_t list_max_tf_ = 0;
     // Pending (not yet flushed) block.
     std::array<uint64_t, kPostingBlockSize> pending_deltas_;
     std::array<uint32_t, kPostingBlockSize> pending_tfs_;
@@ -128,9 +124,6 @@ class PostingList {
   /// Block directory.
   size_t num_blocks() const { return blocks_.size(); }
   const BlockInfo& block(size_t b) const;
-  /// Maximum term frequency across the whole list (0 when empty); the
-  /// list-level score bound MaxScore partitions terms with.
-  uint32_t max_tf() const { return list_max_tf_; }
 
   /// Batch-decodes block `b` into `out` (out->count postings).
   void DecodeBlock(size_t b, PostingBlock* out) const;
@@ -161,7 +154,6 @@ class PostingList {
   std::string bytes_;
   std::vector<BlockInfo> blocks_;
   uint32_t count_ = 0;
-  uint32_t list_max_tf_ = 0;
 };
 
 }  // namespace toppriv::index

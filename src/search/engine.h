@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -16,16 +15,13 @@
 #include "search/topk.h"
 #include "text/vocabulary.h"
 #include "util/deadline.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace toppriv::index {
 class ShardedIndex;
 namespace live {
 class IndexSnapshot;
 class LiveIndex;
-class Segment;
 }  // namespace live
 }  // namespace toppriv::index
 
@@ -42,42 +38,9 @@ struct QueryTerm {
   uint32_t qtf = 0;
 };
 
-/// How a query is evaluated against an index. Both strategies return
-/// BIT-identical top-k lists (docs, scores, order) — the parity suites
-/// enforce it — so the choice is purely a performance knob:
-///  - kTAAT: term-at-a-time accumulation; touches every posting of every
-///    query term. Simple, branch-light, optimal for tiny indexes.
-///  - kMaxScore: document-at-a-time with per-term score upper bounds
-///    (Turtle & Flood): once the top-k heap fills, terms whose summed
-///    bounds cannot beat the k-th score stop generating candidates, docs
-///    are abandoned mid-scoring when the remaining bounds cannot rescue
-///    them, and whole 128-posting blocks are skipped via the block-max tf
-///    bounds. Wins when lists are long relative to k.
-enum class EvalStrategy { kTAAT, kMaxScore };
-
-/// "taat" / "maxscore" (for logs, benches, and the env knob).
-const char* EvalStrategyName(EvalStrategy strategy);
-
-/// Reads TOPPRIV_EVAL_STRATEGY ("taat", default, or "maxscore").
-EvalStrategy EvalStrategyFromEnv();
-
-/// Per-term document-at-a-time cursor (MaxScore path): a position in the
-/// term's block directory plus the batch-decoded current block. Lives in
-/// EvalScratch so the ~1.5 KiB block buffers are reused across queries.
-struct TermCursor {
-  const index::PostingList* list = nullptr;
-  /// List-level score upper bound for this term.
-  double ub = 0.0;
-  /// Doc id at the current position, kept hot in the cursor so pivot scans
-  /// never chase list->block(...) pointers. For an undecoded block this is
-  /// its first_doc (exact — the cursor sits at the block start).
-  corpus::DocId doc = 0;
-  size_t block_idx = 0;
-  uint32_t pos = 0;
-  bool block_decoded = false;
-  bool exhausted = false;
-  index::PostingBlock block;
-};
+/// The one evaluation strategy, term-at-a-time. perfbench is its only
+/// reader; the benchmark change of ROADMAP item 5 removes it.
+enum class EvalStrategy { kTAAT };
 
 /// Reusable evaluation scratch: a contiguous score accumulator with one
 /// slot per document, plus the touched-document list that makes clearing
@@ -92,32 +55,19 @@ class EvalScratch {
   EvalScratch& operator=(const EvalScratch&) = delete;
 
  private:
-  friend class EvalCore;
+  friend std::vector<ScoredDoc> EvaluateTopK(
+      const index::InvertedIndex& index, const CollectionStats& stats,
+      const Scorer& scorer, const std::vector<QueryTerm>& query,
+      const std::vector<uint32_t>& dfs, size_t k, EvalScratch* scratch,
+      const std::vector<char>* exclude, const util::Deadline* deadline);
 
   /// Grows the accumulator to cover `num_documents` and resets any state a
   /// previous (possibly abandoned) query left behind.
   void Prepare(size_t num_documents);
 
-  // TAAT state: contiguous accumulator + touched list.
   std::vector<double> scores_;
   std::vector<char> is_touched_;
   std::vector<corpus::DocId> touched_;
-  // MaxScore state: per-term cursors (block buffers reused across queries),
-  // the ub-sorted order with its bound prefix sums, and the per-candidate
-  // contribution cache (probed in bound order, re-summed canonically).
-  std::vector<TermCursor> cursors_;
-  std::vector<size_t> ub_order_;
-  std::vector<double> sorted_prefix_ub_;
-  std::vector<double> contrib_;
-  std::vector<uint32_t> essential_;
-  std::vector<uint32_t> hits_;
-  std::vector<uint32_t> moved_;
-  // Per-term kernels of the query being evaluated (MaxScore), one vector
-  // per concrete scorer type.
-  std::tuple<std::vector<TfIdfCosineScorer::Kernel>,
-             std::vector<Bm25Scorer::Kernel>,
-             std::vector<LmDirichletScorer::Kernel>>
-      kernels_;
 };
 
 /// Collapses a bag of term ids to unique (term, qtf) pairs in ascending
@@ -134,23 +84,12 @@ std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms);
 /// local to `index`; SearchEngine lifts them into its view's global id
 /// space before merging.
 ///
-/// The scorer is dispatched ONCE here (VisitScorer) to a core templated on
-/// its concrete type; each query term's kernel is prepared once, so the
-/// posting loops make no virtual call. Both strategies return BIT-identical
-/// lists:
-///  - kTAAT accumulates term-at-a-time over every posting of every term
-///    into `scratch`'s contiguous per-document array, then normalizes.
-///  - kMaxScore is document-at-a-time: every document that survives
-///    pruning re-accumulates its cached per-term contributions in the
-///    identical canonical term order (CollapseQuery), and pruning is
-///    provably safe — per-term bounds dominate every posting's score, bound
-///    sums carry a 1e-9 relative inflation so no floating-point association
-///    difference can prune a document within rounding distance of the
-///    threshold, and a document is only dropped when its inflated bound is
-///    STRICTLY below the current k-th score (a tie could still win on doc
-///    id, so ties are never pruned). `term_bounds` is the
-///    ComputeTermImpactBounds table (nullptr falls back to the analytic
-///    TermUpperBound of each term's kernel); TAAT ignores it.
+/// The scorer is dispatched ONCE here (VisitScorer) to a loop over its
+/// concrete kernel type; each query term's kernel is prepared once, so the
+/// posting loop makes no virtual call. Evaluation is term-at-a-time: every
+/// posting of every query term accumulates into `scratch`'s contiguous
+/// per-document array, in the canonical term order of CollapseQuery, and
+/// each touched document is normalized and offered to a TopK.
 ///
 /// `exclude`, when given, is a per-document tombstone mask (parallel to
 /// `index`'s local doc-id space; nonzero = excluded): masked documents are
@@ -159,43 +98,24 @@ std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms);
 /// posting tf, its own length and the collection-wide stats/df, skipping
 /// masked documents changes no surviving document's score bits — which is
 /// what keeps a live view bit-identical to a static build of the surviving
-/// corpus. MaxScore's bounds stay valid: they dominate every posting,
-/// masked ones included.
+/// corpus.
 ///
-/// `deadline`, when given, is polled once per decoded block (TAAT) or per
-/// pivot iteration (MaxScore, which decodes at most a handful of blocks per
-/// iteration). On expiry the core abandons the query and returns an EMPTY
-/// list — a partial top-k is never surfaced, so accepted (non-expired)
-/// queries stay bit-identical to a run with no deadline at all. Callers
-/// that passed a deadline must re-check Expired() afterward and map the
-/// abandonment to kDeadlineExceeded (EvaluateWithOptions does).
-std::vector<ScoredDoc> EvaluateTopK(EvalStrategy strategy,
-                                    const index::InvertedIndex& index,
+/// `deadline`, when given, is polled once per decoded block. On expiry the
+/// core abandons the query and returns an EMPTY list — a partial top-k is
+/// never surfaced, so accepted (non-expired) queries stay bit-identical to
+/// a run with no deadline at all. Callers that passed a deadline must
+/// re-check Expired() afterward and map the abandonment to
+/// kDeadlineExceeded (EvaluateWithOptions does).
+std::vector<ScoredDoc> EvaluateTopK(const index::InvertedIndex& index,
                                     const CollectionStats& stats,
                                     const Scorer& scorer,
                                     const std::vector<QueryTerm>& query,
                                     const std::vector<uint32_t>& dfs,
                                     size_t k, EvalScratch* scratch,
-                                    const std::vector<double>* term_bounds =
-                                        nullptr,
                                     const std::vector<char>* exclude =
                                         nullptr,
                                     const util::Deadline* deadline =
                                         nullptr);
-
-/// Exact per-term impact bounds: for each term, the maximum kernel Score
-/// any of its postings produces at qtf = 1 (one full walk of the index).
-/// Much tighter than the analytic TermUpperBound (which must assume the
-/// worst doc length AND the list-max tf on the same posting), so the
-/// MaxScore partition turns more terms non-essential and abandons
-/// candidates earlier. SearchEngine computes one per part when built with
-/// the MaxScore strategy — the classic "max impact" metadata of
-/// impact-ordered indexes. `global_dfs`, when given, replaces each list's
-/// local document frequency (multi-part views score with global df, so
-/// their bounds must too).
-std::vector<double> ComputeTermImpactBounds(
-    const index::InvertedIndex& index, const CollectionStats& stats,
-    const Scorer& scorer, const std::vector<uint32_t>* global_dfs = nullptr);
 
 /// One entry in the engine-side query log: the adversary's view. Queries
 /// arrive as bags of term ids; the engine cannot tell user queries from
@@ -243,7 +163,7 @@ class QueryLog {
 /// Per-call knobs for the failure-aware evaluation entry point.
 struct QueryOptions {
   /// Cooperative deadline/cancellation, polled at block-decode granularity
-  /// inside the eval cores and across shard/segment fan-out. Null = none.
+  /// inside the eval core and across shard/segment fan-out. Null = none.
   /// The Deadline's cancel flag is shared across the whole fan-out, so one
   /// expiry observation stops every sibling shard.
   const util::Deadline* deadline = nullptr;
@@ -275,7 +195,7 @@ class QueryEngine {
   /// kDeadlineExceeded and its partial work is discarded, never surfaced.
   /// The base implementation brackets Evaluate with expiry checks (coarse:
   /// a stuck engine still runs to completion); SearchEngine overrides it to
-  /// poll inside the eval cores and across the part fan-out, so a wedged
+  /// poll inside the eval core and across the part fan-out, so a wedged
   /// part costs at most one block decode past the deadline.
   virtual util::StatusOr<std::vector<ScoredDoc>> EvaluateWithOptions(
       const std::vector<text::TermId>& terms, size_t k,
@@ -291,8 +211,9 @@ class QueryEngine {
   /// Scorer in use (for logs and benches).
   virtual const Scorer& scorer() const = 0;
 
-  /// Evaluation strategy in use (for logs and benches).
-  virtual EvalStrategy eval_strategy() const = 0;
+  /// Always kTAAT. perfbench is its only reader; the benchmark change of
+  /// ROADMAP item 5 removes it.
+  virtual EvalStrategy eval_strategy() const { return EvalStrategy::kTAAT; }
 };
 
 /// Similarity search engine over a list of index parts — Lucene's
@@ -305,10 +226,10 @@ class QueryEngine {
 ///    tombstone mask and its dense-id remap (SnapshotSegment::DenseId),
 ///    scored with the snapshot's global live statistics.
 ///
-/// Parity contract (sharding_test, live_index_test, serving_test): for any
-/// shape, part count, thread count and strategy, results are BIT-identical
-/// to the one-part engine over a static build of the same collection. Three
-/// ingredients make that hold:
+/// Parity contract (sharding_test, live_index_test, serving_test,
+/// query_parity_fuzz): for any shape, part count and thread count, results
+/// are BIT-identical to the one-part engine over a static build of the same
+/// collection. Three ingredients make that hold:
 ///   1. every part scores with the view's GLOBAL collection statistics and
 ///      per-term document frequencies (distributed-IR "global IDF");
 ///   2. every part runs the same evaluation core over the same canonical
@@ -325,17 +246,6 @@ class QueryEngine {
 /// bit-identical to the sequential one. The pool is private, so it can
 /// never be a pool the caller itself blocks inside.
 ///
-/// IMPACT BOUNDS. The strategy is fixed at construction. Under MaxScore a
-/// static view's per-part ComputeTermImpactBounds tables (priced with the
-/// view's df) are built once in the constructor and never change. A live
-/// view is built per acquired snapshot; its tables are cached keyed by
-/// (segment identity, df-version): LiveIndex bumps the version on every
-/// df-changing mutation, and the cache is discarded the moment a snapshot
-/// carries a newer one — a stale table could fall below a real
-/// contribution and break prune-safety. Merges are df-neutral, so their
-/// fresh segments simply compute their tables on first use. Tighter bounds
-/// change pruning work, never results.
-///
 /// The engine is deliberately unmodified by the privacy layer: TopPriv's
 /// design constraint is that it works against existing engines (unlike the
 /// PDX baseline, which requires a homomorphic scoring protocol).
@@ -344,16 +254,13 @@ class SearchEngine : public QueryEngine {
   /// One part over a monolithic index. The engine borrows the corpus and
   /// index; both must outlive it.
   SearchEngine(const corpus::Corpus& corpus, const index::InvertedIndex& index,
-               std::unique_ptr<Scorer> scorer,
-               EvalStrategy strategy = EvalStrategy::kTAAT);
+               std::unique_ptr<Scorer> scorer);
 
   /// One part per shard; `num_threads` > 1 fans the shards out on a
   /// private pool (0 = hardware concurrency, 1 = sequential on the
   /// caller's thread).
   SearchEngine(const corpus::Corpus& corpus, const index::ShardedIndex& index,
-               std::unique_ptr<Scorer> scorer,
-               EvalStrategy strategy = EvalStrategy::kTAAT,
-               size_t num_threads = 1);
+               std::unique_ptr<Scorer> scorer, size_t num_threads = 1);
 
   /// Snapshot-isolated engine over a LiveIndex: each evaluation acquires
   /// the current snapshot, so concurrent ingest/merge/delete never races a
@@ -361,9 +268,7 @@ class SearchEngine : public QueryEngine {
   /// published snapshot by design. `num_threads` as for the sharded shape.
   SearchEngine(const corpus::Corpus& corpus,
                const index::live::LiveIndex& live,
-               std::unique_ptr<Scorer> scorer,
-               EvalStrategy strategy = EvalStrategy::kTAAT,
-               size_t num_threads = 1);
+               std::unique_ptr<Scorer> scorer, size_t num_threads = 1);
 
   ~SearchEngine() override;
 
@@ -393,15 +298,14 @@ class SearchEngine : public QueryEngine {
   std::vector<ScoredDoc> EvaluateOn(const index::live::IndexSnapshot& snapshot,
                                     const std::vector<text::TermId>& terms,
                                     size_t k,
-                                    const util::Deadline* deadline = nullptr)
-      const EXCLUDES(bounds_mu_);
+                                    const util::Deadline* deadline =
+                                        nullptr) const;
 
   const QueryLog& query_log() const override { return log_; }
   QueryLog& mutable_query_log() override { return log_; }
 
   const corpus::Corpus& corpus() const override { return corpus_; }
   const Scorer& scorer() const override { return *scorer_; }
-  EvalStrategy eval_strategy() const override { return strategy_; }
 
  private:
   /// One leaf of a view.
@@ -413,8 +317,6 @@ class SearchEngine : public QueryEngine {
     corpus::DocId base = 0;
     /// deleted_before[l] = tombstoned locals below l, or null (no holes).
     const std::vector<uint32_t>* deleted_before = nullptr;
-    /// MaxScore impact-bound table, or null (TAAT, or analytic bounds).
-    const std::vector<double>* term_bounds = nullptr;
   };
 
   /// Everything one evaluation reads.
@@ -426,27 +328,8 @@ class SearchEngine : public QueryEngine {
     std::vector<Part> parts;
   };
 
-  /// One immutable generation of cached live bound tables: the df-version
-  /// they were computed at, plus (segment identity → table) pairs. Readers
-  /// clone the pointer under bounds_mu_ and go lock-free.
-  struct BoundsCache {
-    uint64_t df_version = 0;
-    std::vector<std::pair<std::shared_ptr<const index::live::Segment>,
-                          std::shared_ptr<const std::vector<double>>>>
-        tables;
-  };
-
   SearchEngine(const corpus::Corpus& corpus, std::unique_ptr<Scorer> scorer,
-               EvalStrategy strategy, size_t num_threads);
-
-  /// Builds the static view's MaxScore tables (once, at construction).
-  void BuildStaticBounds();
-
-  /// Per-segment bound tables for `snapshot` (parallel to its segments),
-  /// served from the cache when the df-version matches.
-  std::vector<std::shared_ptr<const std::vector<double>>> SegmentBounds(
-      const index::live::IndexSnapshot& snapshot,
-      const CollectionStats& stats) const EXCLUDES(bounds_mu_);
+               size_t num_threads);
 
   /// Static view or the live index's current snapshot.
   std::vector<ScoredDoc> Run(const std::vector<text::TermId>& terms, size_t k,
@@ -460,17 +343,9 @@ class SearchEngine : public QueryEngine {
 
   const corpus::Corpus& corpus_;
   std::unique_ptr<Scorer> scorer_;
-  const EvalStrategy strategy_;
   /// Set for the live shape; the static shapes evaluate view_.
   const index::live::LiveIndex* live_ = nullptr;
   View view_;
-  /// Backing store of view_'s term_bounds pointers (MaxScore only).
-  std::vector<std::vector<double>> static_bounds_;
-  /// Guards only the live cache pointer swap; table computation runs
-  /// outside it.
-  mutable util::Mutex bounds_mu_;
-  mutable std::shared_ptr<const BoundsCache> bounds_cache_
-      GUARDED_BY(bounds_mu_);
   /// Private fan-out pool; null = sequential.
   std::unique_ptr<util::ThreadPool> pool_;
   QueryLog log_;

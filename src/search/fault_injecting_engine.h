@@ -87,9 +87,6 @@ class FaultInjectingEngine : public QueryEngine {
   }
   const corpus::Corpus& corpus() const override { return inner_->corpus(); }
   const Scorer& scorer() const override { return inner_->scorer(); }
-  EvalStrategy eval_strategy() const override {
-    return inner_->eval_strategy();
-  }
 
   /// The faulted path. A call with no armed fault forwards verbatim, so
   /// accepted queries stay bit-identical to the unwrapped engine.

@@ -13,10 +13,10 @@
 // runs once per (index part, query term) and folds everything that does
 // not depend on the posting into a small concrete kernel: BM25's IDF and
 // k1 + 1, TF-IDF's qtf·idf, LM-Dirichlet's mu·p(w|C). `Kernel::Score(dl,
-// tf)` is the per-posting remainder. The evaluation cores are templated on
-// the concrete scorer (VisitScorer dispatches once per part over the closed
-// set of three), so the posting loop makes no virtual call and no
-// per-posting IDF log.
+// tf)` is the per-posting remainder. The evaluation core dispatches once
+// per part on the concrete scorer (VisitScorer, over the closed set of
+// three), so the posting loop makes no virtual call and no per-posting IDF
+// log.
 //
 // PARITY RULE. A kernel evaluates the SAME floating-point expression, in
 // the same order, as the one-shot formula it replaces; only identical
@@ -69,15 +69,6 @@ class LmDirichletScorer;
 ///    one posting's contribution;
 ///  - `double S::Normalize(uint32_t doc_length, double accumulated) const`
 ///    — the per-document normalization applied after accumulation.
-///
-/// Contracts the MaxScore evaluator depends on:
-///  - Score is non-decreasing in tf and non-increasing in doc_length
-///    through the exact floating-point operations it performs (true of all
-///    three: rounding is monotone, so the FP inequalities follow the real
-///    ones). TermUpperBound below relies on it.
-///  - For a non-negative accumulator, Normalize never returns MORE than
-///    the accumulator — it may shrink a score (cosine length division, the
-///    Dirichlet length prior), never inflate it.
 class Scorer {
  public:
   enum class Kind { kTfIdfCosine, kBm25, kLmDirichlet };
@@ -97,15 +88,6 @@ class Scorer {
 
   const Kind kind_;
 };
-
-/// Upper bound on `kernel.Score(dl, tf)` over every doc length and every
-/// tf <= max_tf: the score at tf = max_tf and doc_length = 0, which is
-/// bit-safe by the monotonicity contract above. Zero for an empty block.
-template <typename Kernel>
-double TermUpperBound(const Kernel& kernel, uint32_t max_tf) {
-  if (max_tf == 0) return 0.0;
-  return kernel.Score(/*doc_length=*/0, max_tf);
-}
 
 /// Classic lnc.ltc-style TF-IDF with cosine length normalization
 /// (approximated by document token length).

@@ -48,17 +48,6 @@ class TopK {
 
   size_t size() const { return heap_.size(); }
 
-  /// True once k candidates are held — from then on Worst() is the live
-  /// admission threshold (MaxScore prunes against it).
-  bool AtCapacity() const { return heap_.size() >= k_; }
-
-  /// The current k-th best (worst retained) candidate. Only meaningful
-  /// once at least one candidate was offered.
-  const ScoredDoc& Worst() const {
-    TOPPRIV_CHECK(!heap_.empty());
-    return heap_.front();
-  }
-
  private:
   /// True if a strictly outranks b.
   static bool Better(const ScoredDoc& a, const ScoredDoc& b) {

@@ -131,8 +131,7 @@ TEST(ChaosEngineTest, AcceptedCallsAreBitIdenticalRejectionsAreTyped) {
   const size_t vocab = 16;
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   InvertedIndex index = InvertedIndex::Build(corpus);
-  search::SearchEngine inner(corpus, index, search::MakeBm25Scorer(),
-                             search::EvalStrategy::kMaxScore);
+  search::SearchEngine inner(corpus, index, search::MakeBm25Scorer());
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
   const std::vector<Doc> queries = SynthQueries(vocab, 8, 0xF00D);
@@ -209,10 +208,8 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
   live.Refresh();
 
   search::SearchEngine mono(corpus, index, search::MakeBm25Scorer());
-  search::SearchEngine fanout(corpus, sharded, search::MakeBm25Scorer(),
-                              search::EvalStrategy::kTAAT, 2);
-  search::SearchEngine over_live(corpus, live, search::MakeBm25Scorer(),
-                                 search::EvalStrategy::kTAAT);
+  search::SearchEngine fanout(corpus, sharded, search::MakeBm25Scorer(), 2);
+  search::SearchEngine over_live(corpus, live, search::MakeBm25Scorer());
   ManualClock clock;
   Deadline dead = Deadline::After(0.001, &clock);
   clock.Advance(2'000'000);  // 2ms past a 1ms deadline: expired before work
@@ -238,7 +235,6 @@ TEST(ChaosEngineTest, ConcurrentFleetSurvivesScriptedFaults) {
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   ShardedIndex sharded = ShardedIndex::Build(corpus, 3);
   search::SearchEngine inner(corpus, sharded, search::MakeBm25Scorer(),
-                             search::EvalStrategy::kMaxScore,
                              /*num_threads=*/2);
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
@@ -517,8 +513,7 @@ TEST(ChaosSmoke, FixedScheduleDigestMatchesNoFaultReference) {
   const size_t vocab = 16;
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   InvertedIndex index = InvertedIndex::Build(corpus);
-  search::SearchEngine inner(corpus, index, search::MakeBm25Scorer(),
-                             search::EvalStrategy::kMaxScore);
+  search::SearchEngine inner(corpus, index, search::MakeBm25Scorer());
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
   const std::vector<Doc> queries = SynthQueries(vocab, 8, 0xF00D);

@@ -48,9 +48,6 @@ std::unique_ptr<search::Scorer> MakeScorer(int which) {
   }
 }
 
-const search::EvalStrategy kStrategies[] = {search::EvalStrategy::kTAAT,
-                                            search::EvalStrategy::kMaxScore};
-
 void ExpectBitIdentical(const std::vector<ScoredDoc>& got,
                         const std::vector<ScoredDoc>& want,
                         const char* context) {
@@ -100,11 +97,8 @@ std::vector<Doc> WorldDocs() {
 constexpr size_t kEvalThreads = 3;
 
 // THE parity check: the live index's current state must be
-// indistinguishable — results (all scorers × both strategies × sequential
-// and pooled per-segment scatter) and stats — from a static build of
-// `final_docs`. MaxScore runs over the engine's cached per-segment impact
-// bounds (queries after the first serve from the cache), so every call
-// here also locks down cached-bounds parity.
+// indistinguishable — results (all scorers × sequential and pooled
+// per-segment scatter) and stats — from a static build of `final_docs`.
 void ExpectLiveMatchesStatic(LiveIndex& live, const std::vector<Doc>& final_docs,
                              size_t vocab_size,
                              const std::vector<Doc>& queries, size_t k,
@@ -115,21 +109,16 @@ void ExpectLiveMatchesStatic(LiveIndex& live, const std::vector<Doc>& final_docs
   ASSERT_EQ(snapshot->num_documents(), static_index.num_documents()) << context;
   ExpectStatsEqual(snapshot->ComputeStats(), static_index.ComputeStats());
   for (int scorer_kind = 0; scorer_kind < 3; ++scorer_kind) {
-    for (search::EvalStrategy strategy : kStrategies) {
-      search::SearchEngine mono(expected, static_index,
-                                MakeScorer(scorer_kind), strategy);
-      search::SearchEngine engine(expected, live, MakeScorer(scorer_kind),
-                                  strategy);
-      search::SearchEngine pooled(expected, live, MakeScorer(scorer_kind),
-                                  strategy, kEvalThreads);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        SCOPED_TRACE(::testing::Message()
-                     << context << " scorer=" << scorer_kind << " strategy="
-                     << search::EvalStrategyName(strategy) << " query=" << qi);
-        const std::vector<ScoredDoc> want = mono.Evaluate(queries[qi], k);
-        ExpectBitIdentical(engine.Evaluate(queries[qi], k), want, context);
-        ExpectBitIdentical(pooled.Evaluate(queries[qi], k), want, context);
-      }
+    search::SearchEngine mono(expected, static_index, MakeScorer(scorer_kind));
+    search::SearchEngine engine(expected, live, MakeScorer(scorer_kind));
+    search::SearchEngine pooled(expected, live, MakeScorer(scorer_kind),
+                                kEvalThreads);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE(::testing::Message() << context << " scorer="
+                                        << scorer_kind << " query=" << qi);
+      const std::vector<ScoredDoc> want = mono.Evaluate(queries[qi], k);
+      ExpectBitIdentical(engine.Evaluate(queries[qi], k), want, context);
+      ExpectBitIdentical(pooled.Evaluate(queries[qi], k), want, context);
     }
   }
 }
@@ -288,18 +277,16 @@ TEST(LiveIndexParityTest, DeleteThenReinsertMatchesStaticBuildOfFinalCorpus) {
                           "delete-reinsert");
 }
 
-// The cached-bounds protocol's hard edges, exercised through PERSISTENT
-// engines whose caches live across the mutations (fresh engines per stage
-// would never hold a stale table):
+// Stage edges of the live collection, exercised through PERSISTENT
+// engines that live across the mutations (what a serving engine sees, as
+// opposed to a fresh engine per stage):
 //   - a delete dropping a term's df to zero,
 //   - EnsureTermSpace growth followed by docs using the new term ids,
-//   - a merge commit swapping the segment list under cached tables
-//     (df-neutral: the version must NOT move, yet the merge output's
-//     tables recompute on first use via segment identity).
-// Every stage checks all engines bit-identical against a static build of
-// the stage's corpus, evaluating twice so the second call serves from the
-// cache.
-TEST(LiveIndexParityTest, DfVersionEdgesKeepCachedBoundsExact) {
+//   - a merge commit swapping the segment list.
+// Every stage checks the sequential and the pooled engine bit-identical
+// against a static build of the stage's corpus, evaluating twice so a
+// second query on the same snapshot is checked too.
+TEST(LiveIndexParityTest, PersistentEnginesMatchStaticBuildAcrossDfEdges) {
   const size_t kFinalVocab = 12;
   // Long-lived corpus for the engines to borrow (the live engines score
   // from snapshots; the corpus only backs corpus() consumers, so the full
@@ -307,18 +294,14 @@ TEST(LiveIndexParityTest, DfVersionEdgesKeepCachedBoundsExact) {
   corpus::Corpus host = CorpusFromDocs(kFinalVocab, {});
 
   LiveIndexOptions options;
-  options.max_writer_docs = 2;  // small segments → many bound tables
+  options.max_writer_docs = 2;  // small segments → many parts per query
   options.merge_factor = 4;
   LiveIndex live(options);
   live.EnsureTermSpace(8);
 
-  search::SearchEngine seq_max(host, live, search::MakeBm25Scorer(),
-                               search::EvalStrategy::kMaxScore);
-  search::SearchEngine pooled_max(host, live, search::MakeBm25Scorer(),
-                                  search::EvalStrategy::kMaxScore,
-                                  kEvalThreads);
-  search::SearchEngine taat(host, live, search::MakeBm25Scorer(),
-                            search::EvalStrategy::kTAAT);
+  search::SearchEngine seq(host, live, search::MakeBm25Scorer());
+  search::SearchEngine pooled(host, live, search::MakeBm25Scorer(),
+                              kEvalThreads);
 
   std::vector<Doc> final_docs;  // mirror of the live collection
   auto check_stage = [&](size_t stage_vocab,
@@ -328,60 +311,45 @@ TEST(LiveIndexParityTest, DfVersionEdgesKeepCachedBoundsExact) {
     corpus::Corpus expected = CorpusFromDocs(stage_vocab, final_docs);
     InvertedIndex static_index = InvertedIndex::Build(expected);
     search::SearchEngine mono(expected, static_index,
-                              search::MakeBm25Scorer(),
-                              search::EvalStrategy::kMaxScore);
+                              search::MakeBm25Scorer());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       SCOPED_TRACE(::testing::Message() << stage << " query=" << qi);
       const std::vector<ScoredDoc> want = mono.Evaluate(queries[qi], 8);
-      // Twice: the first call (re)builds the stage's tables, the second
-      // must serve them from the cache with identical results.
-      ExpectBitIdentical(seq_max.Evaluate(queries[qi], 8), want, stage);
-      ExpectBitIdentical(seq_max.Evaluate(queries[qi], 8), want, stage);
-      ExpectBitIdentical(pooled_max.Evaluate(queries[qi], 8), want, stage);
-      ExpectBitIdentical(taat.Evaluate(queries[qi], 8), want, stage);
+      ExpectBitIdentical(seq.Evaluate(queries[qi], 8), want, stage);
+      ExpectBitIdentical(seq.Evaluate(queries[qi], 8), want, stage);
+      ExpectBitIdentical(pooled.Evaluate(queries[qi], 8), want, stage);
+      ExpectBitIdentical(pooled.Evaluate(queries[qi], 8), want, stage);
     }
   };
 
-  // Stage 0 — baseline: populate the collection and the bound caches.
-  // Term 5 appears in exactly one document (doc "1"), so deleting that
-  // document later drops df[5] to zero.
+  // Stage 0 — baseline. Term 5 appears in exactly one document (doc "1"),
+  // so deleting that document later drops df[5] to zero.
   const std::vector<Doc> baseline = {
       {0, 1, 2, 2}, {3, 5, 5, 1}, {2, 4, 0}, {1, 3, 3}, {4, 4, 2, 0}};
   std::vector<StableId> ids = live.Ingest(baseline);
   for (const Doc& d : baseline) final_docs.push_back(d);
   check_stage(8, {{1, 2}, {5}, {0, 3, 4}}, "baseline");
 
-  // Stage 1 — delete the ONLY holder of term 5: df[5] 1 → 0. A cached
-  // table treating term 5 as scoreable would disagree with the static
-  // build where the term simply does not occur.
-  const uint64_t v_baseline = live.Acquire()->df_version();
+  // Stage 1 — delete the ONLY holder of term 5: df[5] 1 → 0. The live
+  // view must treat term 5 exactly as the static build, where it simply
+  // does not occur.
   ASSERT_TRUE(live.Delete(ids[1]));
   final_docs.erase(final_docs.begin() + 1);
-  EXPECT_GT(live.Refresh()->df_version(), v_baseline)
-      << "delete must bump the df-version";
   check_stage(8, {{1, 2}, {5}, {5, 3}, {0, 3, 4}}, "df-to-zero");
 
   // Stage 2 — grow the term space mid-stream and ingest docs carrying the
-  // new ids: cached tables are too SHORT for the new vocabulary.
-  const uint64_t v_delete = live.Acquire()->df_version();
+  // new ids.
   live.EnsureTermSpace(kFinalVocab);
   const std::vector<Doc> growth = {{9, 10, 1}, {11, 11, 2, 9}, {8, 0}};
   live.Ingest(growth);
   for (const Doc& d : growth) final_docs.push_back(d);
-  EXPECT_GT(live.Refresh()->df_version(), v_delete)
-      << "term-space growth must bump the df-version";
   check_stage(kFinalVocab, {{9, 11}, {1, 10}, {8, 2}, {0, 4, 11}}, "growth");
 
-  // Stage 3 — merge: the doc set (and so every df) is untouched, the
-  // version must NOT move, but the segment list the cached tables were
-  // keyed to is swapped out wholesale. Identity keying makes the merge
-  // output recompute on first use; results stay bit-identical.
-  const uint64_t v_growth = live.Acquire()->df_version();
+  // Stage 3 — merge: the doc set (and so every df) is untouched, but the
+  // segment list is swapped out wholesale; results stay bit-identical.
   ASSERT_GT(live.Acquire()->num_segments(), 1u);
   live.ForceMerge();
   std::shared_ptr<const IndexSnapshot> merged = live.Refresh();
-  EXPECT_EQ(merged->df_version(), v_growth)
-      << "a merge preserves the live doc set and must be df-neutral";
   EXPECT_EQ(merged->num_segments(), 1u);
   check_stage(kFinalVocab, {{9, 11}, {1, 10}, {5}, {0, 4, 11}}, "merged");
 }
@@ -969,21 +937,21 @@ TEST(LiveIndexConcurrencyTest, AcquireDuringRefreshMakesProgressAndIsOrdered) {
                           "acquire-hammer");
 }
 
-// Concurrent readers on a monolithic and a live engine, both built with
-// MaxScore, evaluate while a writer ingests and refreshes. The live
-// engine's bound cache is republished on every df-version bump the writer
-// causes, so the TSan job turns any race in that publication into a
-// report. Monolithic results must match the reference throughout; live
-// results are compared once the writer has finished, when the live
-// collection equals the reference's.
-TEST(LiveIndexConcurrencyTest, MaxScoreReadersRaceIngestWithoutDataRaces) {
+// Concurrent readers on a monolithic engine and a pooled live engine
+// evaluate while a writer ingests and refreshes: every live query fans its
+// segments out on the engine's pool while snapshots are being replaced, so
+// the TSan job turns any race between the pool's workers, their
+// thread-local scratches and snapshot publication into a report.
+// Monolithic results must match the reference throughout; live results are
+// compared once the writer has finished, when the live collection equals
+// the reference's.
+TEST(LiveIndexConcurrencyTest, PooledReadersRaceIngestWithoutDataRaces) {
   const std::vector<Doc> docs = WorldDocs();
   const size_t vocab = World().corpus.vocabulary_size();
   corpus::Corpus corpus_ref = CorpusFromDocs(vocab, docs);
   InvertedIndex static_index = InvertedIndex::Build(corpus_ref);
   search::SearchEngine mono(corpus_ref, static_index,
-                            search::MakeBm25Scorer(),
-                            search::EvalStrategy::kMaxScore);
+                            search::MakeBm25Scorer());
 
   LiveIndex live;
   live.EnsureTermSpace(vocab);
@@ -991,7 +959,6 @@ TEST(LiveIndexConcurrencyTest, MaxScoreReadersRaceIngestWithoutDataRaces) {
   live.Ingest(std::vector<Doc>(docs.begin(), docs.begin() + upfront));
   live.Refresh();
   search::SearchEngine live_engine(corpus_ref, live, search::MakeBm25Scorer(),
-                                   search::EvalStrategy::kMaxScore,
                                    kEvalThreads);
 
   const std::vector<Doc> queries = WorldQueries(8);

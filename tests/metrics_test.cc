@@ -301,8 +301,7 @@ TEST(TraceTest, ConcurrentSpansKeepPerThreadNesting) {
 serving::ServingReport RunDriver() {
   topicmodel::LdaInferencer inferencer(World().model);
   search::SearchEngine engine(World().corpus, World().index,
-                              search::MakeBm25Scorer(),
-                              search::EvalStrategy::kMaxScore);
+                              search::MakeBm25Scorer());
   std::vector<std::vector<text::TermId>> queries;
   for (size_t i = 0; i < 6; ++i) {
     queries.push_back(World().workload[i].term_ids);

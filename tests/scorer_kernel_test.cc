@@ -1,6 +1,5 @@
 // Bit-parity of the per-term scoring kernels against the one-shot oracle
-// formulas (tests/scorer_oracle.h), plus the monotonicity contract the
-// MaxScore bounds rely on.
+// formulas (tests/scorer_oracle.h).
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -86,12 +85,6 @@ void ExpectKernelMatchesOracle(const S& scorer, const OracleScorer& oracle) {
             }
           }
         }
-        for (uint32_t max_tf : {0u, 1u, 2u, 7u, 128u, 1u << 16}) {
-          EXPECT_EQ(Bits(TermUpperBound(kernel, max_tf)),
-                    Bits(oracle.UpperBound(sc.stats, df, max_tf, qtf)))
-              << "UpperBound df=" << df << " qtf=" << qtf
-              << " max_tf=" << max_tf;
-        }
       }
     }
     for (uint32_t dl : DocLengths(sc.stats)) {
@@ -124,40 +117,6 @@ TEST(ScorerKernelTest, LmDirichletMatchesOracleBitForBit) {
   OracleScorer small_mu = OracleScorer::Of(Scorer::Kind::kLmDirichlet);
   small_mu.mu = 100.0;
   ExpectKernelMatchesOracle(LmDirichletScorer(100.0), small_mu);
-}
-
-// The contract TermUpperBound relies on: through the exact floating-point
-// operations, Score is non-decreasing in tf and non-increasing in doc
-// length.
-template <typename S>
-void ExpectMonotone(const S& scorer) {
-  const CollectionStats stats{20000, 137.25, 2745000};
-  const std::vector<uint32_t> dls = {0, 1, 2, 50, 137, 138, 1000, 1u << 20,
-                                     std::numeric_limits<uint32_t>::max()};
-  for (uint32_t df : {1u, 10u, 10000u, 20000u}) {
-    for (uint32_t qtf : {1u, 3u}) {
-      const typename S::Kernel kernel = scorer.PrepareTerm(stats, df, qtf);
-      for (size_t d = 0; d < dls.size(); ++d) {
-        double prev = kernel.Score(dls[d], 1);
-        for (uint32_t tf = 2; tf <= 4096; ++tf) {
-          const double s = kernel.Score(dls[d], tf);
-          ASSERT_GE(s, prev) << scorer.Name() << " df=" << df << " tf=" << tf;
-          prev = s;
-        }
-        if (d == 0) continue;
-        for (uint32_t tf : {1u, 2u, 17u, 4096u}) {
-          ASSERT_LE(kernel.Score(dls[d], tf), kernel.Score(dls[d - 1], tf))
-              << scorer.Name() << " df=" << df << " dl=" << dls[d];
-        }
-      }
-    }
-  }
-}
-
-TEST(ScorerKernelTest, ScoresAreMonotoneInTfAndDocLength) {
-  ExpectMonotone(TfIdfCosineScorer());
-  ExpectMonotone(Bm25Scorer());
-  ExpectMonotone(LmDirichletScorer());
 }
 
 /// True when VisitScorer hands `scorer` to its callback as an `Expected`.

@@ -75,12 +75,6 @@ struct OracleScorer {
     double dl = static_cast<double>(doc_length);
     return accumulated + std::log(mu / (dl + mu));
   }
-
-  double UpperBound(const search::CollectionStats& stats, uint32_t df,
-                    uint32_t max_tf, uint32_t qtf) const {
-    if (max_tf == 0) return 0.0;
-    return TermScore(stats, /*doc_length=*/0, max_tf, df, qtf);
-  }
 };
 
 }  // namespace toppriv::testing

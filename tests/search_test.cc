@@ -257,18 +257,15 @@ std::vector<ScoredDoc> MapBasedEvaluate(const index::InvertedIndex& index,
 
 // The evaluation core over a whole index with a caller-owned scratch: what
 // SearchEngine runs per part, minus the engine's thread-local scratch.
-std::vector<ScoredDoc> CoreEvaluate(EvalStrategy strategy,
-                                    const index::InvertedIndex& index,
+std::vector<ScoredDoc> CoreEvaluate(const index::InvertedIndex& index,
                                     const Scorer& scorer,
                                     const std::vector<text::TermId>& terms,
-                                    size_t k, EvalScratch* scratch,
-                                    const std::vector<double>* term_bounds =
-                                        nullptr) {
+                                    size_t k, EvalScratch* scratch) {
   const std::vector<QueryTerm> query = CollapseQuery(terms);
   std::vector<uint32_t> dfs;
   for (const QueryTerm& qt : query) dfs.push_back(index.DocFreq(qt.term));
-  return EvaluateTopK(strategy, index, CollectionStats::Of(index), scorer,
-                      query, dfs, k, scratch, term_bounds);
+  return EvaluateTopK(index, CollectionStats::Of(index), scorer, query, dfs,
+                      k, scratch);
 }
 
 TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
@@ -299,8 +296,8 @@ TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
       // Also through the core with a caller-owned scratch reused across all
       // trials: reuse must not leak state between queries.
       std::vector<ScoredDoc> got_reused =
-          CoreEvaluate(EvalStrategy::kTAAT, world.index, engine.scorer(),
-                       query, 15, &reused_scratch);
+          CoreEvaluate(world.index, engine.scorer(), query, 15,
+                       &reused_scratch);
       ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
       for (size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].doc, want[i].doc) << "trial " << trial;
@@ -312,108 +309,6 @@ TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
       }
     }
   }
-}
-
-// ---------------------------------------------------- MaxScore vs TAAT --
-
-TEST(MaxScoreTest, UpperBoundDominatesEveryPostingScore) {
-  // The safety premise of MaxScore pruning: for every term, the list-level
-  // (and block-level) TermUpperBound is >= the kernel Score of every
-  // posting, compared as exact doubles.
-  const auto& world = toppriv::testing::World();
-  CollectionStats stats = CollectionStats::Of(world.index);
-  for (int kind = 0; kind < 3; ++kind) {
-    std::unique_ptr<Scorer> scorer = ScorerByKind(kind);
-    VisitScorer(*scorer, [&](const auto& s) {
-      for (text::TermId t = 0; t < world.index.num_terms(); ++t) {
-        const index::PostingList& list = world.index.Postings(t);
-        if (list.empty()) continue;
-        const uint32_t df = world.index.DocFreq(t);
-        for (uint32_t qtf : {1u, 3u}) {
-          const auto kernel = s.PrepareTerm(stats, df, qtf);
-          const double list_ub = TermUpperBound(kernel, list.max_tf());
-          size_t b = 0;
-          index::PostingBlock block;
-          for (; b < list.num_blocks(); ++b) {
-            const double block_ub =
-                TermUpperBound(kernel, list.block(b).max_tf);
-            EXPECT_LE(block_ub, list_ub) << "term " << t << " block " << b;
-            list.DecodeBlock(b, &block);
-            for (uint32_t i = 0; i < block.count; ++i) {
-              const double v = kernel.Score(
-                  world.index.DocLength(block.docs[i]), block.tfs[i]);
-              ASSERT_LE(v, block_ub)
-                  << s.Name() << " term " << t << " doc " << block.docs[i];
-            }
-          }
-        }
-      }
-    });
-  }
-}
-
-TEST(MaxScoreTest, MatchesTaatBitForBitOnWorkloadAndRandomQueries) {
-  // The tentpole parity lock: document-at-a-time MaxScore returns the
-  // IDENTICAL top-k — documents, order, score bits — as term-at-a-time,
-  // for every scorer, across k values that exercise both the unfilled-heap
-  // (no pruning) and tight-threshold (heavy pruning) regimes.
-  const auto& world = toppriv::testing::World();
-  for (int kind = 0; kind < 3; ++kind) {
-    SearchEngine taat(world.corpus, world.index, ScorerByKind(kind),
-                      EvalStrategy::kTAAT);
-    SearchEngine maxscore(world.corpus, world.index, ScorerByKind(kind),
-                          EvalStrategy::kMaxScore);
-    ASSERT_EQ(maxscore.eval_strategy(), EvalStrategy::kMaxScore);
-    EvalScratch reused;
-    const std::vector<double> bounds = ComputeTermImpactBounds(
-        world.index, CollectionStats::Of(world.index), maxscore.scorer());
-    util::Rng rng(1234 + kind);
-    for (int trial = 0; trial < 60; ++trial) {
-      std::vector<text::TermId> query;
-      if (trial < static_cast<int>(world.workload.size())) {
-        query = world.workload[trial].term_ids;
-      } else {
-        size_t len = 1 + rng.UniformInt(uint64_t{7});
-        for (size_t i = 0; i < len; ++i) {
-          // Draw past the vocabulary every other trial (empty lists).
-          uint64_t space =
-              world.corpus.vocabulary_size() + (trial % 2 ? 40 : 0);
-          query.push_back(static_cast<text::TermId>(rng.UniformInt(space)));
-        }
-        if (len > 1 && trial % 3 == 0) query.push_back(query[0]);  // dup
-      }
-      for (size_t k : {size_t{1}, size_t{3}, size_t{10}, size_t{400}}) {
-        SCOPED_TRACE(::testing::Message() << "scorer=" << kind << " trial="
-                                          << trial << " k=" << k);
-        std::vector<ScoredDoc> want = taat.Evaluate(query, k);
-        std::vector<ScoredDoc> got = maxscore.Evaluate(query, k);
-        std::vector<ScoredDoc> got_reused =
-            CoreEvaluate(EvalStrategy::kMaxScore, world.index,
-                         maxscore.scorer(), query, k, &reused, &bounds);
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
-          // Bit equality: same canonical accumulation order per document.
-          EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
-          EXPECT_EQ(got_reused[i].doc, want[i].doc) << "rank " << i;
-          EXPECT_EQ(got_reused[i].score, want[i].score) << "rank " << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(MaxScoreTest, StrategyNamesAndEnvParsing) {
-  EXPECT_STREQ(EvalStrategyName(EvalStrategy::kTAAT), "taat");
-  EXPECT_STREQ(EvalStrategyName(EvalStrategy::kMaxScore), "maxscore");
-  ::setenv("TOPPRIV_EVAL_STRATEGY", "maxscore", 1);
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kMaxScore);
-  ::setenv("TOPPRIV_EVAL_STRATEGY", "taat", 1);
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kTAAT);
-  ::setenv("TOPPRIV_EVAL_STRATEGY", "garbage", 1);
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kTAAT);
-  ::unsetenv("TOPPRIV_EVAL_STRATEGY");
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kTAAT);
 }
 
 TEST(EngineTest, EmptyQueryReturnsNothing) {

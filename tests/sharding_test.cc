@@ -73,8 +73,7 @@ TEST(ShardingParityTest, EveryWorkloadQueryMatchesMonolithicBitForBit) {
       ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
       for (size_t threads : {size_t{1}, size_t{4}}) {
         search::SearchEngine engine(world.corpus, sharded,
-                                    MakeScorer(scorer_kind),
-                                    search::EvalStrategy::kTAAT, threads);
+                                    MakeScorer(scorer_kind), threads);
         for (size_t qi = 0; qi < world.workload.size(); ++qi) {
           SCOPED_TRACE(::testing::Message()
                        << "scorer=" << scorer_kind << " shards=" << num_shards
@@ -85,42 +84,6 @@ TEST(ShardingParityTest, EveryWorkloadQueryMatchesMonolithicBitForBit) {
               engine.Evaluate(world.workload[qi].term_ids, 10);
           ExpectBitIdentical(got, want, "workload");
         }
-      }
-    }
-  }
-}
-
-TEST(ShardingParityTest, MaxScoreMatchesTaatAcrossShardGrid) {
-  // The evaluation-strategy face of the parity invariant: for K ∈
-  // {1, 2, 4, 7} shards × both strategies, every workload query returns
-  // the bit-identical top-k the monolithic TAAT engine returns. MaxScore
-  // prunes per shard against per-shard thresholds, so this also proves
-  // pruning composes with the scatter-gather merge.
-  const auto& world = World();
-  search::SearchEngine mono(world.corpus, world.index,
-                            search::MakeBm25Scorer());
-  search::SearchEngine mono_maxscore(world.corpus, world.index,
-                                     search::MakeBm25Scorer(),
-                                     search::EvalStrategy::kMaxScore);
-  for (size_t num_shards : kShardCounts) {
-    ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
-    for (search::EvalStrategy strategy :
-         {search::EvalStrategy::kTAAT, search::EvalStrategy::kMaxScore}) {
-      search::SearchEngine engine(world.corpus, sharded,
-                                  search::MakeBm25Scorer(), strategy,
-                                  /*num_threads=*/1);
-      ASSERT_EQ(engine.eval_strategy(), strategy);
-      for (size_t qi = 0; qi < world.workload.size(); ++qi) {
-        SCOPED_TRACE(::testing::Message()
-                     << "shards=" << num_shards << " strategy="
-                     << search::EvalStrategyName(strategy) << " query=" << qi);
-        std::vector<ScoredDoc> want =
-            mono.Evaluate(world.workload[qi].term_ids, 10);
-        ExpectBitIdentical(engine.Evaluate(world.workload[qi].term_ids, 10),
-                           want, "strategy-grid");
-        ExpectBitIdentical(
-            mono_maxscore.Evaluate(world.workload[qi].term_ids, 10), want,
-            "mono-maxscore");
       }
     }
   }
@@ -561,15 +524,10 @@ TEST(ShardedServingTest, DriverDigestsMatchMonolithicAcrossThreadCounts) {
 
   ShardedIndex sharded = ShardedIndex::Build(world.corpus, 4);
   for (size_t engine_threads : {size_t{1}, size_t{4}}) {
-    for (search::EvalStrategy strategy :
-         {search::EvalStrategy::kTAAT, search::EvalStrategy::kMaxScore}) {
     search::SearchEngine engine(world.corpus, sharded,
-                                search::MakeBm25Scorer(), strategy,
-                                engine_threads);
+                                search::MakeBm25Scorer(), engine_threads);
     for (size_t driver_threads : {size_t{1}, size_t{4}}) {
       SCOPED_TRACE(::testing::Message() << "engine_threads=" << engine_threads
-                                        << " strategy="
-                                        << search::EvalStrategyName(strategy)
                                         << " driver_threads="
                                         << driver_threads);
       serving::ServingReport got = run(engine, driver_threads);
@@ -580,7 +538,6 @@ TEST(ShardedServingTest, DriverDigestsMatchMonolithicAcrossThreadCounts) {
         EXPECT_EQ(got.sessions[s].queries_submitted,
                   want.sessions[s].queries_submitted);
       }
-    }
     }
   }
 }

@@ -4,7 +4,7 @@
 // byte-boundary truncation, every injected I/O fault, a power cut under
 // any DurabilityPolicy — LiveIndex::Recover() (a) never crashes, (b) never
 // loses a mutation the policy acknowledged as durable, and (c) yields a
-// state whose Search() (all three scorers × TAAT/MaxScore) and
+// state whose Search() (all three scorers) and
 // ComputeStats() are bit-identical to a reference replay of the recovered
 // operation prefix. Hostile WAL/manifest/CURRENT bytes (bit flips,
 // truncations, stale generations, trailing garbage) are rejected with
@@ -59,9 +59,6 @@ std::unique_ptr<search::Scorer> MakeScorer(int which) {
       return std::make_unique<search::LmDirichletScorer>();
   }
 }
-
-const search::EvalStrategy kStrategies[] = {search::EvalStrategy::kTAAT,
-                                            search::EvalStrategy::kMaxScore};
 
 corpus::Corpus CorpusFromDocs(size_t vocab_size, const std::vector<Doc>& docs) {
   corpus::Corpus c;
@@ -277,7 +274,7 @@ void ExpectStatsEqual(const IndexStats& got, const IndexStats& want,
 
 /// THE recovery parity check: `live` must be search- and stats-
 /// indistinguishable from a static build of `final_docs`, across all
-/// three scorers and both evaluation strategies.
+/// three scorers.
 void ExpectLiveMatchesStatic(LiveIndex& live, const std::vector<Doc>& final_docs,
                              size_t vocab_size, const std::vector<Doc>& queries,
                              size_t k, const char* context) {
@@ -292,18 +289,13 @@ void ExpectLiveMatchesStatic(LiveIndex& live, const std::vector<Doc>& final_docs
   ExpectStatsEqual(snapshot->ComputeStats(), static_index.ComputeStats(),
                    context);
   for (int scorer_kind = 0; scorer_kind < 3; ++scorer_kind) {
-    for (search::EvalStrategy strategy : kStrategies) {
-      search::SearchEngine mono(expected, static_index, MakeScorer(scorer_kind),
-                                strategy);
-      search::SearchEngine engine(expected, live, MakeScorer(scorer_kind),
-                                  strategy);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        SCOPED_TRACE(::testing::Message()
-                     << context << " scorer=" << scorer_kind << " strategy="
-                     << search::EvalStrategyName(strategy) << " query=" << qi);
-        ExpectBitIdentical(engine.Evaluate(queries[qi], k),
-                           mono.Evaluate(queries[qi], k), context);
-      }
+    search::SearchEngine mono(expected, static_index, MakeScorer(scorer_kind));
+    search::SearchEngine engine(expected, live, MakeScorer(scorer_kind));
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE(::testing::Message() << context << " scorer="
+                                        << scorer_kind << " query=" << qi);
+      ExpectBitIdentical(engine.Evaluate(queries[qi], k),
+                         mono.Evaluate(queries[qi], k), context);
     }
   }
 }
@@ -341,8 +333,8 @@ Doc SynthDoc(util::Rng& rng, size_t vocab, size_t min_len = 3,
 /// The standard small script used by the exhaustive sweeps: term-space
 /// declaration, multi-doc batches (some crossing the auto-seal threshold),
 /// deletes of live and bogus ids, explicit seals, an empty batch. Small
-/// enough that full 3-scorer × 2-strategy parity at EVERY WAL byte
-/// boundary stays fast.
+/// enough that full 3-scorer parity at EVERY WAL byte boundary stays
+/// fast.
 std::vector<Op> SmallScript(size_t vocab) {
   util::Rng rng(20260808);
   std::vector<Op> ops;

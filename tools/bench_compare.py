@@ -62,10 +62,10 @@ def metric(c, key, path, where):
     """c[key], or a clear failure naming the file and the missing key."""
     if key not in c:
         raise BenchFormatError(
-            "%s: %s cell %r has no %r key (format drift between the bench "
+            "%s: %s cell %s has no %r key (format drift between the bench "
             "binary and this script -- regenerate the JSON and update both "
-            "sides in the same PR)" % (path, where, c.get("strategy", "?"),
-                                       key))
+            "sides in the same PR)" % (path, where,
+                                       json.dumps(c, sort_keys=True), key))
     return c[key]
 
 
@@ -73,8 +73,7 @@ def serving_cells(doc, path):
     """name -> Cell for a serving_throughput run."""
     cells = {}
     for c in doc.get("serving_cells", []):
-        key = "serving/{}/shards{}/threads{}".format(
-            metric(c, "strategy", path, "serving"),
+        key = "serving/shards{}/threads{}".format(
             metric(c, "shards", path, "serving"),
             metric(c, "threads", path, "serving"))
         cells[key + "/qps"] = Cell(
@@ -82,23 +81,19 @@ def serving_cells(doc, path):
         cells[key + "/cps"] = Cell(
             metric(c, "cycles_per_second", path, "serving"), True)
     for c in doc.get("retrieval_cells", []):
-        key = "retrieval/{}/shards{}".format(
-            metric(c, "strategy", path, "retrieval"),
+        key = "retrieval/shards{}".format(
             metric(c, "shards", path, "retrieval"))
         cells[key + "/qps"] = Cell(
             metric(c, "queries_per_second", path, "retrieval"), True)
     for c in doc.get("live_cells", []):
-        key = "live/{}/threads{}/eval{}".format(
-            metric(c, "strategy", path, "live"),
+        key = "live/threads{}/eval{}".format(
             metric(c, "threads", path, "live"), c.get("eval_threads", 1))
         cells[key + "/qps"] = Cell(
             metric(c, "queries_per_second", path, "live"), True)
         cells[key + "/ingest_dps"] = Cell(
             metric(c, "ingest_docs_per_second", path, "live"), True)
     for c in doc.get("open_loop_cells", []):
-        key = "open_loop/{}/{}".format(
-            metric(c, "strategy", path, "open_loop"),
-            metric(c, "load", path, "open_loop"))
+        key = "open_loop/{}".format(metric(c, "load", path, "open_loop"))
         cells[key + "/cps"] = Cell(
             metric(c, "cycles_per_second", path, "open_loop"), True)
         for pct in ("p50", "p95", "p99"):
