@@ -192,8 +192,7 @@ TEST(LiveIndexParityTest, BatchSplitSchedulesMatchStaticBuild) {
 }
 
 TEST(LiveIndexParityTest, FullWorkloadParityAfterStreamedIngest) {
-  // One schedule, the FULL workload, under the default strategy/scorer
-  // pairing the serving layer uses most.
+  // One schedule, the FULL workload, under BM25 (the serving scorer).
   const std::vector<Doc> docs = WorldDocs();
   const size_t vocab = World().corpus.vocabulary_size();
   LiveIndexOptions options;
