@@ -14,7 +14,7 @@
 // is byte-for-byte the classic interleaved delta+varint size the paper's
 // Fig. 6 / §II arithmetic (and ShardedIndex::ComputeStats's cross-shard
 // re-pricing) assume. A per-block directory carries each block's offset,
-// posting count and first and last doc id.
+// posting count and last doc id.
 #ifndef TOPPRIV_INDEX_POSTING_LIST_H_
 #define TOPPRIV_INDEX_POSTING_LIST_H_
 
@@ -60,12 +60,11 @@ struct PostingBlock {
 class PostingList {
  public:
   /// Per-block directory entry. `offset` points at the block's delta group
-  /// inside the encoded byte stream; `first_doc`/`last_doc` bound the
-  /// block's doc ids.
+  /// inside the encoded byte stream; `last_doc` is the block's last doc id,
+  /// the base of the next block's delta chain.
   struct BlockInfo {
     uint32_t offset = 0;
     uint32_t count = 0;
-    corpus::DocId first_doc = 0;
     corpus::DocId last_doc = 0;
   };
 
@@ -90,7 +89,6 @@ class PostingList {
     // Pending (not yet flushed) block.
     std::array<uint64_t, kPostingBlockSize> pending_deltas_;
     std::array<uint32_t, kPostingBlockSize> pending_tfs_;
-    std::array<corpus::DocId, kPostingBlockSize> pending_docs_;
     uint32_t pending_ = 0;
   };
 
