@@ -24,6 +24,7 @@
 #include "index/sharded_index.h"
 #include "topicmodel/lda_model.h"
 #include "util/filesystem.h"
+#include "util/io.h"
 
 namespace {
 
@@ -95,6 +96,39 @@ std::string WalSeed(bool torn) {
       mem.FileBytes("db/" + index::live::WalFileName(gen));
   if (torn && bytes.size() > 9) bytes.resize(bytes.size() - 9);
   return bytes;
+}
+
+/// A small non-uniform model for the fold-in parity check: 17 topics, so
+/// the sampler's 16-topic block table has a partial second block, with
+/// skewed weights, scattered zeros, an all-zero word and a word only the
+/// last topic emits.
+topicmodel::LdaModel SkewedModel() {
+  const size_t topics = 17, vocab = 6;
+  std::vector<float> phi(topics * vocab);
+  for (size_t t = 0; t < topics; ++t) {
+    for (size_t w = 0; w < vocab; ++w) {
+      const size_t k = (t * 7 + w * 3) % 11;
+      phi[t * vocab + w] = k < 3 ? 0.0f : static_cast<float>(k * k) / 128.0f;
+    }
+    phi[t * vocab + 0] = 0.0f;
+    phi[t * vocab + 1] = t + 1 == topics ? 0.5f : 0.0f;
+  }
+  std::vector<float> theta(topics, 1.0f / static_cast<float>(topics));
+  return topicmodel::LdaModel::Create(topics, vocab, std::move(phi),
+                                      std::move(theta), 0.05, 0.01);
+}
+
+/// A 2x2 model blob in LdaModel::Serialize's layout, hand-encoded because
+/// Create refuses the invalid values these seeds carry.
+std::string LdaBlob(float phi0, float theta0, double alpha, double beta) {
+  util::BinaryWriter w;
+  w.WriteVarint(2);  // num_topics
+  w.WriteVarint(2);  // vocab_size
+  w.WriteDouble(alpha);
+  w.WriteDouble(beta);
+  w.WriteFloatVector({phi0, 0.5f, 0.25f, 0.75f});
+  w.WriteFloatVector({theta0, 0.5f});
+  return w.data();
 }
 
 using Plan = fuzz::QueryParityPlan;
@@ -221,6 +255,17 @@ int main(int argc, char** argv) {
                                            std::move(theta), 0.1, 0.01)
                   .Serialize());
   }
+
+  WriteSeed(root, "lda_model", "skewed.bin", SkewedModel().Serialize());
+  // Deserialize must reject these with DataLoss (fuzz_corpus_test checks).
+  WriteSeed(root, "lda_model", "rejected_nan_phi.bin",
+            LdaBlob(std::numeric_limits<float>::quiet_NaN(), 0.5f, 0.1, 0.01));
+  WriteSeed(root, "lda_model", "rejected_negative_theta.bin",
+            LdaBlob(0.5f, -0.5f, 0.1, 0.01));
+  WriteSeed(root, "lda_model", "rejected_zero_alpha.bin",
+            LdaBlob(0.5f, 0.5f, 0.0, 0.01));
+  WriteSeed(root, "lda_model", "rejected_infinite_beta.bin",
+            LdaBlob(0.5f, 0.5f, 0.1, std::numeric_limits<double>::infinity()));
 
   WriteSeed(root, "wal_replay", "mutations.bin", WalSeed(/*torn=*/false));
   WriteSeed(root, "wal_replay", "torn_tail.bin", WalSeed(/*torn=*/true));

@@ -48,7 +48,11 @@ util::Status AdmissionController::TryAdmit() {
     TOPPRIV_GAUGE_SET("admission.queue_depth", QueueDepthLocked());
   }
   TOPPRIV_COUNTER_INC("admission.admitted");
-  if (degraded_admission) TOPPRIV_COUNTER_INC("admission.degraded_admissions");
+  // Added on every admission, 0 or 1, so that a process which never
+  // degraded still exports the counter (as 0): a reader dividing it by
+  // `admission.admitted` must not lose the ratio.
+  TOPPRIV_COUNTER_ADD("admission.degraded_admissions", degraded_admission);
+  (void)degraded_admission;  // the macro vanishes under TOPPRIV_METRICS=OFF
   TOPPRIV_GAUGE_ADD("admission.in_system", 1);
   return util::Status::Ok();
 }

@@ -26,23 +26,46 @@ struct InferenceOptions {
   uint64_t seed = 11;
 };
 
-/// Reusable Gibbs scratch buffers for InferQuery. One inference allocates
-/// five vectors; on the serving hot path (one inference per candidate
-/// ghost) that allocator traffic dominates, so callers in a loop keep a
+/// Reusable Gibbs scratch buffers for InferQuery. One inference uses eight
+/// vectors; on the serving hot path (one inference per candidate ghost)
+/// allocating them per call would dominate, so callers in a loop keep a
 /// workspace alive across calls. Not thread-safe: use one workspace per
 /// thread (the workspace-less InferQuery overload does exactly that).
 struct InferenceWorkspace {
   std::vector<text::TermId> tokens;
   std::vector<uint32_t> counts;
   std::vector<uint16_t> z;
-  std::vector<double> cdf;
+  /// Topics with a nonzero count, ascending. During a draw it also still
+  /// holds the drawn token's old topic, whose count may have dropped to 0.
+  std::vector<uint16_t> nonzero;
+  /// Topics whose count has been nonzero during this call, and a flag per
+  /// topic for membership. Only these hold their own burn-in sum.
+  std::vector<uint16_t> touched;
+  std::vector<uint8_t> is_touched;
+  /// Running burn-in sums of the touched topics.
   std::vector<double> accum;
+  /// The dense CDF, built only by draws that take the exact path.
+  std::vector<double> cdf;
 };
 
 /// Fold-in Gibbs inferencer over a fixed trained model.
+///
+/// Each Gibbs step draws a topic from p_t = (n_t + alpha) * Pr(w|t) by
+/// inverting its CDF. The draw is exactly the one a dense sampler makes (a
+/// serial prefix sum over all T topics, then a binary search), from the
+/// same RNG stream, but is found in O(T/16 + 16 + |nonzero|): the CDF is
+/// split into the smoothing part alpha * Pr(w|t), precomputed per word at
+/// 16-topic block ends, and the count part n_t * Pr(w|t) over the few
+/// topics holding tokens (the SparseLDA bucket split, Yao, Mimno &
+/// McCallum, KDD 2009, without reordering the topics). A draw is accepted
+/// only when both CDF values around it lie farther from the target than
+/// a bound on the rounding gap between the two computations; otherwise
+/// that one draw is redone with the dense loop (`lda.exact_fallbacks`).
 class LdaInferencer {
  public:
-  /// The inferencer borrows `model`, which must outlive it.
+  /// The inferencer borrows `model`, which must outlive it. Builds the
+  /// per-word block table (vocab_size * ceil(T/16) doubles) in one pass
+  /// over phi.
   explicit LdaInferencer(const LdaModel& model, InferenceOptions options = {});
 
   /// Posterior Pr(t|q) for a query given as a bag of term ids. Unknown ids
@@ -66,6 +89,10 @@ class LdaInferencer {
  private:
   const LdaModel& model_;
   InferenceOptions options_;
+  size_t num_blocks_ = 0;
+  /// Word-major [vocab_size x num_blocks_]: entry (w, b) is
+  /// alpha * sum_{t < 16(b+1)} Pr(w|t), summed in double in topic order.
+  std::vector<double> smoothing_cdf_;
 };
 
 }  // namespace toppriv::topicmodel

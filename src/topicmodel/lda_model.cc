@@ -1,11 +1,27 @@
 #include "topicmodel/lda_model.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.h"
 #include "util/io.h"
 
 namespace toppriv::topicmodel {
+
+namespace {
+
+// Every weight is a finite probability mass and every hyperparameter a
+// finite positive pseudo-count: the fold-in sampler's certified fast path
+// relies on both (non-negative terms keep its prefix sums monotone, and
+// alpha > 0 keeps every topic reachable).
+bool ValidWeights(const std::vector<float>& weights) {
+  return std::all_of(weights.begin(), weights.end(),
+                     [](float v) { return std::isfinite(v) && v >= 0.0f; });
+}
+
+bool ValidHyperparameter(double v) { return std::isfinite(v) && v > 0.0; }
+
+}  // namespace
 
 LdaModel LdaModel::Create(size_t num_topics, size_t vocab_size,
                           std::vector<float> phi, std::vector<float> theta,
@@ -14,6 +30,10 @@ LdaModel LdaModel::Create(size_t num_topics, size_t vocab_size,
   TOPPRIV_CHECK_GT(vocab_size, 0u);
   TOPPRIV_CHECK_EQ(phi.size(), num_topics * vocab_size);
   TOPPRIV_CHECK_EQ(theta.size() % num_topics, 0u);
+  TOPPRIV_CHECK(ValidWeights(phi));
+  TOPPRIV_CHECK(ValidWeights(theta));
+  TOPPRIV_CHECK(ValidHyperparameter(alpha));
+  TOPPRIV_CHECK(ValidHyperparameter(beta));
   LdaModel model;
   model.num_topics_ = num_topics;
   model.vocab_size_ = vocab_size;
@@ -92,6 +112,13 @@ util::StatusOr<LdaModel> LdaModel::Deserialize(const std::string& bytes) {
       phi.size() % vocab_size != 0 ||
       theta.size() % num_topics != 0) {
     return util::Status::DataLoss("inconsistent LDA model dimensions");
+  }
+  if (!ValidWeights(phi) || !ValidWeights(theta)) {
+    return util::Status::DataLoss("LDA model weight is negative or not finite");
+  }
+  if (!ValidHyperparameter(alpha) || !ValidHyperparameter(beta)) {
+    return util::Status::DataLoss(
+        "LDA model alpha or beta is not finite and positive");
   }
   return Create(num_topics, vocab_size, std::move(phi), std::move(theta),
                 alpha, beta);

@@ -35,7 +35,9 @@ class LdaModel {
   /// Constructs from estimated parameters. `phi` is row-major
   /// [num_topics x vocab_size] with rows summing to 1; `theta` is row-major
   /// [num_docs x num_topics]; `alpha`/`beta` are the training
-  /// hyperparameters (needed again at inference time).
+  /// hyperparameters (needed again at inference time). Every phi/theta
+  /// entry must be finite and non-negative, and alpha/beta finite and
+  /// positive (CHECKed).
   static LdaModel Create(size_t num_topics, size_t vocab_size,
                          std::vector<float> phi, std::vector<float> theta,
                          double alpha, double beta);
@@ -72,7 +74,8 @@ class LdaModel {
   /// quantity plotted in the paper's Fig. 6 (its LDA200 was ~140 MB).
   size_t SizeBytes() const;
 
-  /// Serialization (experiment cache).
+  /// Serialization (experiment cache). Deserialize returns DataLoss for
+  /// inconsistent dimensions and for values Create would refuse.
   std::string Serialize() const;
   static util::StatusOr<LdaModel> Deserialize(const std::string& bytes);
 

@@ -1,6 +1,7 @@
 // Round-trips every checked-in fuzz seed (fuzz/corpus/<target>/*) through
 // the deserializer its fuzz target exercises (and replays the query_parity
-// plans through their harness), under the PLAIN test build —
+// plans and the accepted lda_model seeds through their parity harnesses),
+// under the PLAIN test build —
 // so corpus rot (a format change that silently invalidates the seeds, or a
 // gen_seeds drift) fails CI long before the weekly fuzz job would notice
 // its starting points all parse as garbage.
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz/fold_in_parity.h"
 #include "fuzz/query_parity.h"
 #include "index/inverted_index.h"
 #include "index/live/wal.h"
@@ -78,9 +80,27 @@ TEST(FuzzCorpusTest, ShardedIndexSeedsRoundTrip) {
 TEST(FuzzCorpusTest, LdaModelSeedsRoundTrip) {
   for (const auto& [name, bytes] : LoadSeeds("lda_model")) {
     auto model = topicmodel::LdaModel::Deserialize(bytes);
+    // The invalid-value seeds must be refused; the others accepted.
+    if (name.rfind("rejected_", 0) == 0) {
+      EXPECT_EQ(model.status().code(), util::StatusCode::kDataLoss) << name;
+      continue;
+    }
     ASSERT_TRUE(model.ok()) << name << ": " << model.status().message();
     EXPECT_EQ(model->Serialize(), bytes) << name << " is not canonical";
   }
+}
+
+TEST(FuzzCorpusTest, LdaModelSeedsFoldInMatchesOracle) {
+  size_t checked = 0;
+  for (const auto& [name, bytes] : LoadSeeds("lda_model")) {
+    auto model = topicmodel::LdaModel::Deserialize(bytes);
+    if (!model.ok()) continue;
+    const auto* data = reinterpret_cast<const uint8_t*>(bytes.data());
+    EXPECT_EQ(fuzz::CheckFoldInParity(*model, data, bytes.size()), "")
+        << name;
+    ++checked;
+  }
+  EXPECT_GE(checked, 2u);
 }
 
 TEST(FuzzCorpusTest, WalSeedsParse) {

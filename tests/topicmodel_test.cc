@@ -1,6 +1,8 @@
 // Unit and property tests for the LDA trainer, model and inferencer.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
@@ -9,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include "corpus/topic_spec.h"
+#include "tests/fold_in_oracle.h"
 #include "tests/test_helpers.h"
 #include "topicmodel/gibbs_trainer.h"
 #include "topicmodel/inference.h"
 #include "topicmodel/lda_model.h"
 #include "util/io.h"
+#include "util/metrics.h"
+#include "util/rng.h"
 
 namespace toppriv::topicmodel {
 namespace {
@@ -162,6 +167,57 @@ TEST(LdaModelTest, CreateComputesUniformPriorWithoutDocs) {
   EXPECT_EQ(model.num_docs(), 0u);
 }
 
+// A serialized 2-topic, 2-word model with one entry overridden.
+std::string ModelBlob(float phi0, float theta0, double alpha, double beta) {
+  util::BinaryWriter w;
+  w.WriteVarint(2);  // num_topics
+  w.WriteVarint(2);  // vocab_size
+  w.WriteDouble(alpha);
+  w.WriteDouble(beta);
+  w.WriteFloatVector({phi0, 0.5f, 0.25f, 0.75f});
+  w.WriteFloatVector({theta0, 0.5f});
+  return w.data();
+}
+
+TEST(LdaModelTest, DeserializeRejectsInvalidValues) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  ASSERT_TRUE(LdaModel::Deserialize(ModelBlob(0.5f, 0.5f, 0.1, 0.01)).ok());
+  // Zero weights are valid probability mass.
+  ASSERT_TRUE(LdaModel::Deserialize(ModelBlob(0.0f, 0.0f, 0.1, 0.01)).ok());
+  const std::vector<std::string> invalid = {
+      ModelBlob(kNan, 0.5f, 0.1, 0.01),   ModelBlob(kInf, 0.5f, 0.1, 0.01),
+      ModelBlob(-kInf, 0.5f, 0.1, 0.01),  ModelBlob(-0.25f, 0.5f, 0.1, 0.01),
+      ModelBlob(0.5f, kNan, 0.1, 0.01),   ModelBlob(0.5f, kInf, 0.1, 0.01),
+      ModelBlob(0.5f, -1e-30f, 0.1, 0.01), ModelBlob(0.5f, 0.5f, 0.0, 0.01),
+      ModelBlob(0.5f, 0.5f, -0.1, 0.01),  ModelBlob(0.5f, 0.5f, kNan, 0.01),
+      ModelBlob(0.5f, 0.5f, kInf, 0.01),  ModelBlob(0.5f, 0.5f, 0.1, 0.0),
+      ModelBlob(0.5f, 0.5f, 0.1, -kInf),  ModelBlob(0.5f, 0.5f, 0.1, kNan),
+  };
+  for (size_t i = 0; i < invalid.size(); ++i) {
+    auto result = LdaModel::Deserialize(invalid[i]);
+    ASSERT_FALSE(result.ok()) << "blob " << i;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss)
+        << "blob " << i;
+  }
+}
+
+TEST(LdaModelDeathTest, CreateChecksValues) {
+  const std::vector<float> phi = {0.5f, 0.5f, 0.25f, 0.75f};
+  EXPECT_DEATH(LdaModel::Create(2, 2, {0.5f, -0.5f, 0.25f, 0.75f}, {}, 0.1,
+                                0.1),
+               "CHECK failed");
+  EXPECT_DEATH(LdaModel::Create(2, 2, phi,
+                                {std::numeric_limits<float>::infinity(), 0.0f},
+                                0.1, 0.1),
+               "CHECK failed");
+  EXPECT_DEATH(LdaModel::Create(2, 2, phi, {}, 0.0, 0.1), "CHECK failed");
+  EXPECT_DEATH(
+      LdaModel::Create(2, 2, phi, {}, 0.1,
+                       std::numeric_limits<double>::quiet_NaN()),
+      "CHECK failed");
+}
+
 // ------------------------------------------------------------ GibbsTrainer --
 
 TEST(GibbsTrainerTest, AlphaDefaultsToFiftyOverT) {
@@ -294,6 +350,215 @@ TEST(InferencerTest, TopicalQueryConcentratesPosterior) {
   std::sort(boosts.rbegin(), boosts.rend());
   EXPECT_GT(boosts[0], 0.05);   // at least one strongly-boosted topic
   EXPECT_LT(boosts[5], 0.05);   // but not many
+}
+
+// The bit patterns of a posterior: bit-for-bit comparison, with no
+// tolerance for -0.0 == 0.0 or NaN != NaN.
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  if (!values.empty()) {
+    std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
+  }
+  return bits;
+}
+
+// Runs every query through the inferencer (one reused workspace) and the
+// dense oracle; returns how many posteriors differed in any bit.
+size_t CountOracleMismatches(
+    const LdaModel& model, const InferenceOptions& options,
+    const std::vector<std::vector<text::TermId>>& queries) {
+  LdaInferencer inferencer(model, options);
+  InferenceWorkspace workspace;
+  size_t mismatches = 0;
+  for (const auto& query : queries) {
+    if (Bits(inferencer.InferQuery(query, &workspace)) !=
+        Bits(toppriv::testing::DenseInferQuery(model, options, query))) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+std::vector<InferenceOptions> OracleOptionSets() {
+  InferenceOptions defaults;
+  InferenceOptions short_run;
+  short_run.iterations = 4;
+  short_run.burn_in = 0;
+  short_run.seed = 5;
+  InferenceOptions single_sweep;
+  single_sweep.iterations = 1;
+  single_sweep.burn_in = 0;
+  single_sweep.seed = 12345;
+  return {defaults, short_run, single_sweep};
+}
+
+// A random model whose phi columns include the shapes the sparse sampler's
+// block walk must get right: all-zero columns (the dense total is 0),
+// single-topic columns, and scattered zeros.
+LdaModel SyntheticModel(size_t num_topics, size_t vocab_size, double alpha,
+                        uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> phi(num_topics * vocab_size);
+  for (float& p : phi) {
+    const double scale =
+        std::pow(10.0, -static_cast<double>(rng.UniformInt(4)));
+    p = rng.Bernoulli(0.3) ? 0.0f : static_cast<float>(rng.Uniform() * scale);
+  }
+  for (size_t t = 0; t < num_topics; ++t) {
+    phi[t * vocab_size + 0] = 0.0f;                             // all zero
+    phi[t * vocab_size + 1] = t + 1 == num_topics ? 0.7f : 0.0f;  // last only
+    phi[t * vocab_size + 2] = t == 0 ? 0.3f : 0.0f;               // first only
+  }
+  return LdaModel::Create(num_topics, vocab_size, std::move(phi), {}, alpha,
+                          0.01);
+}
+
+TEST(InferencerTest, MatchesDenseOracleBitForBit) {
+  const auto& world = World();
+  const LdaModel& model = world.model;
+  std::vector<std::vector<text::TermId>> queries;
+  for (const auto& q : world.workload) queries.push_back(q.term_ids);
+  // Ghost-like queries: words drawn from each topic's phi row, at 1-3x the
+  // length of a workload query.
+  util::Rng rng(2024);
+  for (size_t t = 0; t < model.num_topics(); ++t) {
+    std::vector<double> cdf;
+    double sum = 0.0;
+    for (float p : model.PhiRow(static_cast<TopicId>(t))) cdf.push_back(sum += p);
+    const size_t base = world.workload[t % world.workload.size()].term_ids.size();
+    for (size_t scale = 1; scale <= 3; ++scale) {
+      std::vector<text::TermId> ghost;
+      for (size_t i = 0; i < std::max<size_t>(1, base) * scale; ++i) {
+        ghost.push_back(static_cast<text::TermId>(rng.DiscreteFromCdf(cdf)));
+      }
+      queries.push_back(ghost);
+    }
+  }
+  // Duplicate-token, out-of-vocabulary and single-token queries.
+  const text::TermId oov = static_cast<text::TermId>(model.vocab_size());
+  const std::vector<text::TermId>& first = world.workload[0].term_ids;
+  queries.push_back({first[0], first[0], first[0], first[0]});
+  queries.push_back({first[0], oov, first[0], oov + 7});
+  queries.push_back({oov});
+  queries.push_back({first[0]});
+  queries.push_back({0});
+  queries.push_back({static_cast<text::TermId>(model.vocab_size() - 1)});
+
+  for (const InferenceOptions& options : OracleOptionSets()) {
+    EXPECT_EQ(CountOracleMismatches(model, options, queries), 0u)
+        << "iterations " << options.iterations;
+  }
+}
+
+TEST(InferencerTest, MatchesDenseOracleOnSyntheticModels) {
+  const size_t vocab_size = 12;
+  util::Rng rng(77);
+  std::vector<std::vector<text::TermId>> queries = {
+      {0}, {1}, {2}, {0, 0, 0}, {1, 2, 1, 2}, {0, 1, 2}, {vocab_size + 1}};
+  for (int q = 0; q < 40; ++q) {
+    std::vector<text::TermId> query(1 + rng.UniformInt(12));
+    for (text::TermId& term : query) {
+      term = static_cast<text::TermId>(rng.UniformInt(vocab_size + 2));
+    }
+    queries.push_back(query);
+  }
+  for (size_t num_topics : {1, 15, 16, 17, 40}) {
+    // Tiny and huge alphas push products into the subnormal range (at the
+    // smallest, the dense total of a lone token underflows to 0 while the
+    // block table's does not) or totals towards overflow, where the
+    // sampler must take the dense path.
+    for (double alpha : {0.1, 50.0 / static_cast<double>(num_topics), 1e-310,
+                         std::numeric_limits<double>::denorm_min(), 1e300,
+                         1e308}) {
+      const LdaModel model =
+          SyntheticModel(num_topics, vocab_size, alpha, 31 * num_topics);
+      for (const InferenceOptions& options : OracleOptionSets()) {
+        EXPECT_EQ(CountOracleMismatches(model, options, queries), 0u)
+            << "T=" << num_topics << " alpha=" << alpha
+            << " iterations=" << options.iterations;
+      }
+    }
+  }
+}
+
+uint64_t ExactFallbacks() {
+  for (const auto& c : util::MetricsRegistry::Default().Snap().counters) {
+    if (c.name == "lda.exact_fallbacks") return c.value;
+  }
+  return 0;
+}
+
+// Continued-fraction convergents of the dyadic x = m / 2^k in (0, 1): the
+// best a / q with q <= max_q, so that a / q is within about 1 / q^2 of x.
+std::pair<uint64_t, uint64_t> BestRational(double x, uint64_t max_q) {
+  int exp = 0;
+  const double frac = std::frexp(x, &exp);  // x = frac * 2^exp
+  uint64_t num = static_cast<uint64_t>(std::ldexp(frac, 53));
+  uint64_t den = uint64_t{1} << (53 - exp);  // needs x >= 2^-10
+  uint64_t a0 = 0, a1 = 1, q0 = 1, q1 = 0;   // convergents n-2 and n-1
+  while (den != 0) {
+    const uint64_t step = num / den;
+    if (q1 != 0 && step > (max_q - q0) / q1) break;  // next q > max_q
+    const uint64_t q = step * q1 + q0;
+    const uint64_t a = step * a1 + a0;
+    a0 = a1, a1 = a, q0 = q1, q1 = q;
+    const uint64_t rem = num - step * den;
+    num = den, den = rem;
+  }
+  return {a1, q1};
+}
+
+TEST(InferencerTest, BoundaryDrawTakesExactPath) {
+  // One word, two topics, all counts 0 at the draw: the dense CDF is
+  // {p0, p0 + p1} with p_t = alpha * phi_t, and the draw picks topic 1
+  // because r = u * (p0 + p1) lands exactly on p0. phi_0 / (phi_0 + phi_1)
+  // approximates u to ~2^-48 (a continued-fraction convergent with a
+  // 24-bit denominator); alpha is then nudged until r == p0 exactly and the
+  // block table's total alpha * (phi_0 + phi_1) rounds below the dense
+  // total, so an uncertified sparse pick would take topic 0.
+  const std::vector<text::TermId> query = {0};
+  InferenceOptions options;
+  options.iterations = 1;
+  options.burn_in = 0;
+  bool found = false;
+  float phi0 = 0.0f, phi1 = 0.0f;
+  double alpha = 0.0;
+  for (uint64_t seed = 1; seed < 5000 && !found; ++seed) {
+    util::Rng rng(seed ^ toppriv::testing::OracleHashTerms(query));
+    rng.UniformInt(2);  // the random init
+    const double u = rng.Uniform();
+    if (u < 0.25 || u > 0.75) continue;
+    const auto [a, q] = BestRational(u, uint64_t{1} << 24);
+    phi0 = std::ldexp(static_cast<float>(a), -24);
+    phi1 = std::ldexp(static_cast<float>(q - a), -24);
+    alpha = 0.1;
+    for (int nudge = 0; nudge < 512 && !found; ++nudge) {
+      alpha = std::nextafter(alpha, 1.0);
+      const double p0 = alpha * phi0;
+      const double dense_total = p0 + alpha * phi1;
+      const double block_total =
+          alpha * (static_cast<double>(phi0) + static_cast<double>(phi1));
+      if (u * dense_total == p0 && u * block_total < p0) {
+        options.seed = seed;
+        found = true;
+      }
+    }
+  }
+  ASSERT_TRUE(found) << "no boundary configuration in the search range";
+
+  const LdaModel model = LdaModel::Create(2, 1, {phi0, phi1}, {}, alpha, 0.01);
+  const uint64_t fallbacks_before = ExactFallbacks();
+  const std::vector<double> posterior =
+      LdaInferencer(model, options).InferQuery(query);
+  const std::vector<double> expected =
+      toppriv::testing::DenseInferQuery(model, options, query);
+  EXPECT_EQ(Bits(posterior), Bits(expected));
+  EXPECT_GT(expected[1], expected[0]);  // the dense draw took topic 1
+#ifdef TOPPRIV_METRICS
+  EXPECT_EQ(ExactFallbacks() - fallbacks_before, 1u);
+#else
+  (void)fallbacks_before;
+#endif
 }
 
 TEST(InferencerTest, CyclePosteriorIsUniformMixture) {
