@@ -74,6 +74,23 @@ std::string PostingListSeed(size_t n, uint32_t stride) {
   return out;
 }
 
+/// Four blocks whose groups cover both decode paths: block 0 all one-byte,
+/// block 1 a multi-byte delta mid-block, block 2 a multi-byte tf at its
+/// end, and a one-byte partial tail.
+std::string MixedPostingListSeed() {
+  index::PostingList::Builder builder;
+  corpus::DocId doc = 0;
+  for (uint32_t i = 0; i < 3 * index::kPostingBlockSize + 20; ++i) {
+    doc += (i == index::kPostingBlockSize + 60) ? 1000 : 1 + i % 5;
+    const uint32_t tf =
+        (i == 3 * index::kPostingBlockSize - 1) ? 300 : 1 + i % 3;
+    builder.Append(doc, tf);
+  }
+  std::string out;
+  builder.Build().EncodeTo(&out);
+  return out;
+}
+
 std::string WalSeed(bool torn) {
   // Drive the real durable pipeline and lift the WAL file it wrote.
   util::FaultInjectingFileSystem mem;
@@ -237,6 +254,7 @@ int main(int argc, char** argv) {
   WriteSeed(root, "posting_list", "dense.bin", PostingListSeed(300, 1));
   WriteSeed(root, "posting_list", "sparse.bin", PostingListSeed(40, 23));
   WriteSeed(root, "posting_list", "single.bin", PostingListSeed(1, 1));
+  WriteSeed(root, "posting_list", "mixed.bin", MixedPostingListSeed());
 
   WriteSeed(root, "inverted_index", "small.bin",
             index::InvertedIndex::Build(corpus).Serialize());

@@ -4,11 +4,16 @@
 //     bytes (the sanitizers catch violations);
 //  2. anything it ACCEPTS round-trips canonically: re-encoding the decoded
 //     list and decoding again must reproduce the same bytes, so the block
-//     format has one representation per logical list.
+//     format has one representation per logical list;
+//  3. every block of an accepted list decodes, fast path or not, to what a
+//     bounds-checked varint walk of the same body yields (see
+//     block_decode_parity.h).
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
+#include "fuzz/block_decode_parity.h"
 #include "index/posting_list.h"
 
 namespace {
@@ -33,5 +38,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string canonical2;
   again->EncodeTo(&canonical2);
   if (canonical2 != canonical) __builtin_trap();
+
+  const std::string failure = toppriv::fuzz::CheckBlockDecodeParity(*list);
+  if (!failure.empty()) {
+    std::fprintf(stderr, "block decode parity violated: %s\n",
+                 failure.c_str());
+    __builtin_trap();
+  }
   return 0;
 }

@@ -58,7 +58,6 @@ struct PostingBlock {
 /// delta-encoded and term frequencies varint-encoded, matching how real
 /// engines (and the paper's size arithmetic) store inverted lists.
 class PostingList {
- public:
   /// Per-block directory entry. `offset` points at the block's delta group
   /// inside the encoded byte stream; `last_doc` is the block's last doc id,
   /// the base of the next block's delta chain.
@@ -68,6 +67,7 @@ class PostingList {
     corpus::DocId last_doc = 0;
   };
 
+ public:
   PostingList() = default;
 
   /// Incremental builder; Append requires ascending doc ids.
@@ -93,9 +93,8 @@ class PostingList {
   };
 
   /// Forward iterator over decoded postings. Batch-decodes one block at a
-  /// time into an internal PostingBlock; kept for term-at-a-time callers
-  /// and stats walks. Evaluators that skip should use the block directory
-  /// plus DecodeBlock directly.
+  /// time into an internal PostingBlock, for posting-at-a-time callers and
+  /// stats walks. The evaluator calls DecodeBlock directly.
   class Iterator {
    public:
     explicit Iterator(const PostingList* list);
@@ -119,11 +118,14 @@ class PostingList {
   uint32_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 
-  /// Block directory.
+  /// Number of blocks in the directory.
   size_t num_blocks() const { return blocks_.size(); }
-  const BlockInfo& block(size_t b) const;
 
-  /// Batch-decodes block `b` into `out` (out->count postings).
+  /// Batch-decodes block `b` into `out` (out->count postings). A group
+  /// (the block's deltas, or its tfs) whose `count` leading bytes all lack
+  /// the varint continuation bit is exactly `count` one-byte varints and
+  /// decodes as a plain prefix sum or byte widening; any other group runs
+  /// the general varint loop. The format carries no flag for this.
   void DecodeBlock(size_t b, PostingBlock* out) const;
 
   /// Encoded byte size (used by index_stats and Fig. 6). Identical to the

@@ -1,6 +1,7 @@
 #include "search/engine.h"
 
 #include <algorithm>
+#include <cstring>
 #include <type_traits>
 
 #include "index/live/live_index.h"
@@ -22,6 +23,22 @@ void EvalScratch::Prepare(size_t num_documents) {
   // Self-healing reset in case a previous query was abandoned mid-flight.
   for (corpus::DocId doc : touched_) is_touched_[doc] = 0;
   touched_.clear();
+}
+
+const double* EvalScratch::Bm25Norms(const Bm25Scorer::Kernel& kernel) {
+  std::array<uint64_t, 4> key;
+  const double inputs[4] = {kernel.k1, kernel.one_minus_b, kernel.b,
+                            kernel.avgdl};
+  static_assert(sizeof(inputs) == sizeof(key), "one key word per input");
+  std::memcpy(key.data(), inputs, sizeof(key));
+  if (norms_.empty() || key != norm_key_) {
+    norms_.resize(kNormTableSize);
+    for (uint32_t dl = 0; dl < kNormTableSize; ++dl) {
+      norms_[dl] = kernel.Norm(dl);
+    }
+    norm_key_ = key;
+  }
+  return norms_.data();
 }
 
 std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms) {
@@ -67,8 +84,11 @@ std::vector<ScoredDoc> EvaluateTopK(const index::InvertedIndex& index,
   // contrasts against). The first touch assigns 0.0 before accumulating so
   // a slot's history cannot leak between queries. Postings stream through
   // one stack-resident PostingBlock, batch-decoded 128 at a time.
-  std::vector<double>& scores = scratch->scores_;
-  std::vector<char>& is_touched = scratch->is_touched_;
+  // Raw pointers, not vector references: touched.push_back below may
+  // write any memory as far as the compiler knows, which would otherwise
+  // reload both data pointers on every posting.
+  double* const scores = scratch->scores_.data();
+  char* const is_touched = scratch->is_touched_.data();
   std::vector<corpus::DocId>& touched = scratch->touched_;
   const uint32_t* doc_lengths = index.doc_lengths().data();
   const size_t num_documents = index.num_documents();
@@ -83,12 +103,30 @@ std::vector<ScoredDoc> EvaluateTopK(const index::InvertedIndex& index,
   // Dispatched once to the concrete scorer `s`, so the posting loop calls
   // its kernel directly.
   return VisitScorer(scorer, [&](const auto& s) -> std::vector<ScoredDoc> {
-    using Kernel = typename std::decay_t<decltype(s)>::Kernel;
+    using ConcreteScorer = std::decay_t<decltype(s)>;
+    using Kernel = typename ConcreteScorer::Kernel;
     index::PostingBlock block;
     for (size_t qi = 0; qi < query.size(); ++qi) {
       const index::PostingList& list = index.Postings(query[qi].term);
       if (list.empty() || dfs[qi] == 0) continue;
       const Kernel kernel = s.PrepareTerm(stats, dfs[qi], query[qi].qtf);
+      // One posting's contribution; BM25 reads its length norm from the
+      // scratch's table (the same double Norm would compute).
+      const auto score = [&] {
+        if constexpr (std::is_same_v<ConcreteScorer, Bm25Scorer>) {
+          const double* norms = scratch->Bm25Norms(kernel);
+          return [kernel, norms](uint32_t dl, uint32_t tf) {
+            const double norm = dl < EvalScratch::kNormTableSize
+                                    ? norms[dl]
+                                    : kernel.Norm(dl);
+            return kernel.ScoreWithNorm(norm, tf);
+          };
+        } else {
+          return [kernel](uint32_t dl, uint32_t tf) {
+            return kernel.Score(dl, tf);
+          };
+        }
+      }();
       for (size_t b = 0; b < list.num_blocks(); ++b) {
         // Cooperative cancellation, one check per 128-posting block. An
         // abandoned query surfaces NOTHING (the scratch self-heals on the
@@ -112,7 +150,7 @@ std::vector<ScoredDoc> EvaluateTopK(const index::InvertedIndex& index,
             touched.push_back(doc);
             scores[doc] = 0.0;
           }
-          scores[doc] += kernel.Score(doc_lengths[doc], block.tfs[i]);
+          scores[doc] += score(doc_lengths[doc], block.tfs[i]);
         }
       }
     }

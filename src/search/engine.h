@@ -3,6 +3,7 @@
 #ifndef TOPPRIV_SEARCH_ENGINE_H_
 #define TOPPRIV_SEARCH_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -48,8 +49,20 @@ enum class EvalStrategy { kTAAT };
 /// queries removes the per-query hash-map allocation that used to dominate
 /// Evaluate. Not thread-safe: one scratch per thread (SearchEngine keeps a
 /// thread-local one).
+///
+/// It also caches BM25's length norm (Bm25Scorer::Kernel::Norm) for every
+/// document length below kNormTableSize, so the posting loop reads a table
+/// entry instead of dividing by avgdl. The table is keyed by the bits of
+/// every kernel field Norm reads (k1, 1−b, b, avgdl) and rebuilt only when
+/// the key changes: once per thread on a static view, after a refresh on a
+/// live one. Each entry is the same Norm call the loop would make, so
+/// scores keep their bits. Its size is fixed (8 KiB), never per document.
 class EvalScratch {
  public:
+  /// Document lengths below this read the norm from the table; longer
+  /// documents compute it directly.
+  static constexpr uint32_t kNormTableSize = 1024;
+
   EvalScratch() = default;
   EvalScratch(const EvalScratch&) = delete;
   EvalScratch& operator=(const EvalScratch&) = delete;
@@ -65,9 +78,16 @@ class EvalScratch {
   /// previous (possibly abandoned) query left behind.
   void Prepare(size_t num_documents);
 
+  /// Norm(dl) for every dl < kNormTableSize under `kernel`.
+  const double* Bm25Norms(const Bm25Scorer::Kernel& kernel);
+
   std::vector<double> scores_;
   std::vector<char> is_touched_;
   std::vector<corpus::DocId> touched_;
+  /// Bits of (k1, one_minus_b, b, avgdl) norms_ was built for.
+  std::array<uint64_t, 4> norm_key_{};
+  /// Empty until the first BM25 query on this scratch.
+  std::vector<double> norms_;
 };
 
 /// Collapses a bag of term ids to unique (term, qtf) pairs in ascending

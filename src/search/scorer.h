@@ -128,13 +128,25 @@ class Bm25Scorer final : public Scorer {
     double avgdl = 0.0;
     double qtf = 0.0;
 
-    double Score(uint32_t doc_length, uint32_t tf) const {
+    /// The length norm k1·(1−b+b·dl/avgdl): the only part of Score that
+    /// reads the document, and it reads only its length. It reads k1,
+    /// one_minus_b, b and avgdl, none of which depends on the term, so one
+    /// table of it serves every term of every query over the same
+    /// statistics (EvalScratch keeps one).
+    double Norm(uint32_t doc_length) const {
       const double dl = static_cast<double>(doc_length);
-      const double denom =
-          static_cast<double>(tf) +
-          k1 * (one_minus_b + b * (avgdl > 0.0 ? dl / avgdl : 1.0));
+      return k1 * (one_minus_b + b * (avgdl > 0.0 ? dl / avgdl : 1.0));
+    }
+
+    /// Score given `norm` == Norm(doc_length).
+    double ScoreWithNorm(double norm, uint32_t tf) const {
+      const double denom = static_cast<double>(tf) + norm;
       const double tf_part = static_cast<double>(tf) * k1_plus_1 / denom;
       return idf * tf_part * qtf;
+    }
+
+    double Score(uint32_t doc_length, uint32_t tf) const {
+      return ScoreWithNorm(Norm(doc_length), tf);
     }
   };
 

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz/block_decode_parity.h"
 #include "fuzz/fold_in_parity.h"
 #include "fuzz/query_parity.h"
 #include "index/inverted_index.h"
@@ -58,6 +59,7 @@ TEST(FuzzCorpusTest, PostingListSeedsRoundTrip) {
     std::string encoded;
     list->EncodeTo(&encoded);
     EXPECT_EQ(encoded, bytes) << name << " is not canonical";
+    EXPECT_EQ(fuzz::CheckBlockDecodeParity(*list), "") << name;
   }
 }
 

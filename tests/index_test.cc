@@ -1,5 +1,7 @@
 // Unit and property tests for posting lists and the inverted index.
+#include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -87,6 +89,150 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PostingListRoundtrip,
 
 // ------------------------------------------------------ block structure --
 
+/// Every block holds the next min(128, remaining) postings, and DecodeBlock
+/// reproduces them; Decode() reproduces the whole list.
+void ExpectBlocksDecodeTo(const PostingList& list,
+                          const std::vector<Posting>& expected) {
+  ASSERT_EQ(list.size(), expected.size());
+  ASSERT_EQ(list.num_blocks(),
+            (expected.size() + kPostingBlockSize - 1) / kPostingBlockSize);
+  size_t covered = 0;
+  PostingBlock block;
+  for (size_t b = 0; b < list.num_blocks(); ++b) {
+    list.DecodeBlock(b, &block);
+    ASSERT_EQ(block.count, std::min<size_t>(kPostingBlockSize,
+                                            expected.size() - covered))
+        << "block " << b;
+    for (uint32_t i = 0; i < block.count; ++i) {
+      EXPECT_EQ(block.docs[i], expected[covered + i].doc)
+          << "block " << b << " posting " << i;
+      EXPECT_EQ(block.tfs[i], expected[covered + i].tf)
+          << "block " << b << " posting " << i;
+    }
+    covered += block.count;
+  }
+  EXPECT_EQ(covered, expected.size());
+  EXPECT_EQ(list.Decode(), expected);
+}
+
+PostingList BuildList(const std::vector<Posting>& postings) {
+  PostingList::Builder builder;
+  for (const Posting& p : postings) builder.Append(p.doc, p.tf);
+  return builder.Build();
+}
+
+/// `n` postings whose deltas and tfs all fit one varint byte: deltas cycle
+/// through 1..127 (the first doc id is 3), tfs through 1..127.
+std::vector<Posting> OneBytePostings(size_t n) {
+  std::vector<Posting> postings;
+  corpus::DocId doc = 3;
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0) doc += 1 + static_cast<corpus::DocId>(i % 127);
+    postings.push_back({doc, 1 + static_cast<uint32_t>((i * 37) % 127)});
+  }
+  return postings;
+}
+
+/// Rebuilds doc ids so that posting `at` sits `delta` after its
+/// predecessor (or at doc `delta` when it is the first), keeping every
+/// other delta.
+std::vector<Posting> WithDelta(std::vector<Posting> postings, size_t at,
+                               corpus::DocId delta) {
+  std::vector<corpus::DocId> deltas(postings.size());
+  for (size_t i = 0; i < postings.size(); ++i) {
+    deltas[i] =
+        i == 0 ? postings[0].doc : postings[i].doc - postings[i - 1].doc;
+  }
+  deltas[at] = delta;
+  corpus::DocId doc = 0;
+  for (size_t i = 0; i < postings.size(); ++i) {
+    doc += deltas[i];
+    postings[i].doc = doc;
+  }
+  return postings;
+}
+
+TEST(PostingBlockDecodeTest, AllOneByteBlocks) {
+  // From one posting to three full blocks and a partial one, every delta
+  // and tf one byte: both groups of every block take the fast path.
+  for (size_t n : {size_t{1}, size_t{8}, size_t{127}, size_t{128},
+                   size_t{3 * 128 + 45}}) {
+    SCOPED_TRACE(n);
+    const std::vector<Posting> postings = OneBytePostings(n);
+    ExpectBlocksDecodeTo(BuildList(postings), postings);
+  }
+}
+
+TEST(PostingBlockDecodeTest, FirstDocIdIsAbsoluteOnTheFastPath) {
+  // Doc 0 first (a zero first delta), and a first doc id of exactly 127.
+  for (corpus::DocId first : {0u, 127u}) {
+    SCOPED_TRACE(first);
+    const std::vector<Posting> postings =
+        WithDelta(OneBytePostings(200), 0, first);
+    ExpectBlocksDecodeTo(BuildList(postings), postings);
+  }
+}
+
+TEST(PostingBlockDecodeTest, OneMultiByteDeltaAnywhereInABlock) {
+  // One >= 128 delta at the first, a middle or the last position of block
+  // 0 or 1, or last in the partial tail: that block's delta group takes
+  // the general loop, its tf group and every other block the fast path,
+  // and the delta chain stays continuous across both kinds of block.
+  const size_t n = 3 * 128 + 45;
+  for (size_t at : {size_t{0}, size_t{64}, size_t{127}, size_t{128},
+                    size_t{128 + 7}, size_t{255}, size_t{n - 1}}) {
+    for (corpus::DocId delta : {128u, 300u, 1u << 21}) {
+      SCOPED_TRACE(::testing::Message() << "at " << at << " delta " << delta);
+      const std::vector<Posting> postings =
+          WithDelta(OneBytePostings(n), at, delta);
+      ExpectBlocksDecodeTo(BuildList(postings), postings);
+    }
+  }
+}
+
+TEST(PostingBlockDecodeTest, OneMultiByteTfAnywhereInABlock) {
+  const size_t n = 2 * 128 + 9;
+  for (size_t at : {size_t{0}, size_t{63}, size_t{127}, size_t{128},
+                    size_t{255}, size_t{n - 1}}) {
+    for (uint32_t tf : {128u, 200u, 16384u, UINT32_MAX}) {
+      SCOPED_TRACE(::testing::Message() << "at " << at << " tf " << tf);
+      std::vector<Posting> postings = OneBytePostings(n);
+      postings[at].tf = tf;
+      ExpectBlocksDecodeTo(BuildList(postings), postings);
+    }
+  }
+}
+
+TEST(PostingBlockDecodeTest, EveryTfIsTheLargestU32) {
+  std::vector<Posting> postings = OneBytePostings(130);
+  for (Posting& p : postings) p.tf = UINT32_MAX;
+  ExpectBlocksDecodeTo(BuildList(postings), postings);
+}
+
+TEST(PostingBlockDecodeTest, DeltasAndTfsMultiByteInDifferentBlocks) {
+  // Block 0: slow deltas, fast tfs. Block 1: fast deltas, slow tfs.
+  // Block 2 (partial): both slow. Block 3 (partial tail): both fast.
+  std::vector<Posting> postings = OneBytePostings(3 * 128 + 5);
+  postings = WithDelta(postings, 5, 1000);
+  postings[128 + 100].tf = 4096;
+  postings = WithDelta(postings, 256 + 1, 77777);
+  postings[256 + 2].tf = 129;
+  ExpectBlocksDecodeTo(BuildList(postings), postings);
+}
+
+TEST(PostingBlockDecodeTest, WireRoundTripKeepsTheFastPath) {
+  std::vector<Posting> postings = OneBytePostings(2 * 128 + 3);
+  postings[130].tf = 999;
+  const PostingList list = BuildList(postings);
+  std::string bytes;
+  list.EncodeTo(&bytes);
+  size_t pos = 0;
+  auto restored = PostingList::DecodeFrom(bytes, &pos);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ExpectBlocksDecodeTo(*restored, postings);
+  EXPECT_EQ(restored->ByteSize(), list.ByteSize());
+}
+
 class PostingBlockProperty : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(PostingBlockProperty, RoundTripsThroughBlocksAtEverySize) {
@@ -107,24 +253,7 @@ TEST_P(PostingBlockProperty, RoundTripsThroughBlocksAtEverySize) {
   PostingList list = builder.Build();
 
   // In-memory block directory invariants.
-  EXPECT_EQ(list.size(), n);
-  EXPECT_EQ(list.num_blocks(), (n + 127) / 128);
-  EXPECT_EQ(list.Decode(), expected);
-  size_t covered = 0;
-  index::PostingBlock block;
-  for (size_t b = 0; b < list.num_blocks(); ++b) {
-    const PostingList::BlockInfo& info = list.block(b);
-    list.DecodeBlock(b, &block);
-    ASSERT_EQ(block.count, info.count);
-    ASSERT_LE(info.count, index::kPostingBlockSize);
-    for (uint32_t i = 0; i < block.count; ++i) {
-      EXPECT_EQ(block.docs[i], expected[covered + i].doc);
-      EXPECT_EQ(block.tfs[i], expected[covered + i].tf);
-    }
-    EXPECT_EQ(info.last_doc, block.docs[block.count - 1]);
-    covered += block.count;
-  }
-  EXPECT_EQ(covered, n);
+  ExpectBlocksDecodeTo(list, expected);
 
   // Wire round trip: decode reproduces everything, re-encode is
   // byte-stable, and the decoder leaves `pos` exactly at the end.

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "search/engine.h"
 #include "search/scorer.h"
 #include "tests/scorer_oracle.h"
 
@@ -16,6 +17,8 @@ namespace toppriv::search {
 namespace {
 
 using toppriv::testing::OracleScorer;
+
+constexpr uint32_t kNormTableSize = EvalScratch::kNormTableSize;
 
 uint64_t Bits(double v) {
   uint64_t bits = 0;
@@ -109,6 +112,59 @@ TEST(ScorerKernelTest, Bm25MatchesOracleBitForBit) {
   tuned.k1 = 0.9;
   tuned.b = 0.4;
   ExpectKernelMatchesOracle(Bm25Scorer(0.9, 0.4), tuned);
+}
+
+/// The doc lengths the BM25 norm table splits on: both ends of the table,
+/// the first length past it, and the extremes.
+std::vector<uint32_t> NormTableDocLengths(const CollectionStats& stats) {
+  std::vector<uint32_t> dls = DocLengths(stats);
+  for (uint32_t dl : {kNormTableSize - 1, kNormTableSize,
+                      kNormTableSize + 1}) {
+    dls.push_back(dl);
+  }
+  return dls;
+}
+
+void ExpectBm25NormSplitMatchesOracle(const Bm25Scorer& scorer,
+                                      const OracleScorer& oracle) {
+  for (const StatsCase& sc : StatsCases()) {
+    SCOPED_TRACE("stats=" + sc.name);
+    for (uint32_t df : Dfs(sc.stats)) {
+      for (uint32_t qtf = 1; qtf <= 3; ++qtf) {
+        const Bm25Scorer::Kernel kernel = scorer.PrepareTerm(sc.stats, df, qtf);
+        for (uint32_t dl : NormTableDocLengths(sc.stats)) {
+          const double norm = kernel.Norm(dl);
+          for (uint32_t tf : Tfs(/*dense=*/false)) {
+            const double want = oracle.TermScore(sc.stats, dl, tf, df, qtf);
+            ASSERT_EQ(Bits(kernel.ScoreWithNorm(norm, tf)), Bits(want))
+                << "df=" << df << " qtf=" << qtf << " dl=" << dl
+                << " tf=" << tf;
+            ASSERT_EQ(Bits(kernel.Score(dl, tf)), Bits(want));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ScorerKernelTest, Bm25NormSplitMatchesOracleBitForBit) {
+  // The evaluator scores BM25 as ScoreWithNorm(table[dl], tf), the table
+  // filled with Norm(dl); both halves together must be the oracle's bits,
+  // on both sides of the table edge and with avgdl == 0.
+  ExpectBm25NormSplitMatchesOracle(Bm25Scorer(),
+                                   OracleScorer::Of(Scorer::Kind::kBm25));
+  OracleScorer tuned = OracleScorer::Of(Scorer::Kind::kBm25);
+  tuned.k1 = 2.0;
+  tuned.b = 0.3;
+  ExpectBm25NormSplitMatchesOracle(Bm25Scorer(2.0, 0.3), tuned);
+}
+
+TEST(ScorerKernelTest, Bm25NormIgnoresDocLengthWhenAvgdlIsZero) {
+  const Bm25Scorer::Kernel kernel =
+      Bm25Scorer().PrepareTerm(CollectionStats{10, 0.0, 0}, 3, 1);
+  for (uint32_t dl : {0u, 1u, kNormTableSize, UINT32_MAX}) {
+    EXPECT_EQ(Bits(kernel.Norm(dl)), Bits(kernel.Norm(0))) << "dl=" << dl;
+  }
 }
 
 TEST(ScorerKernelTest, LmDirichletMatchesOracleBitForBit) {

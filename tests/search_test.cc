@@ -2,11 +2,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "index/live/live_index.h"
 #include "search/engine.h"
 #include "search/eval.h"
 #include "search/scorer.h"
@@ -169,6 +172,61 @@ std::unique_ptr<Scorer> ScorerByKind(int which) {
   }
 }
 
+using Docs = std::vector<std::vector<text::TermId>>;
+
+/// Top-k of `docs` (doc id = position) scored from raw tokens with the
+/// oracle formulas, summed in ascending term order, with the collection
+/// statistics computed here from the tokens.
+std::vector<ScoredDoc> BruteForceTopK(const Docs& docs,
+                                      const OracleScorer& oracle,
+                                      const std::vector<text::TermId>& query,
+                                      size_t k) {
+  CollectionStats stats;
+  stats.num_documents = docs.size();
+  std::map<text::TermId, uint32_t> df;
+  for (const auto& d : docs) {
+    stats.total_tokens += d.size();
+    std::vector<text::TermId> unique = d;
+    std::sort(unique.begin(), unique.end());
+    unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+    for (text::TermId t : unique) ++df[t];
+  }
+  stats.avg_doc_length = docs.empty()
+                             ? 0.0
+                             : static_cast<double>(stats.total_tokens) /
+                                   static_cast<double>(docs.size());
+  std::map<text::TermId, uint32_t> qtf;
+  for (text::TermId t : query) ++qtf[t];
+  TopK topk(k);
+  for (size_t d = 0; d < docs.size(); ++d) {
+    std::map<text::TermId, uint32_t> tf;
+    for (text::TermId t : docs[d]) ++tf[t];
+    const uint32_t dl = static_cast<uint32_t>(docs[d].size());
+    double score = 0.0;
+    bool any = false;
+    for (const auto& [term, q] : qtf) {
+      auto it = tf.find(term);
+      if (it == tf.end()) continue;
+      any = true;
+      score += oracle.TermScore(stats, dl, it->second, df[term], q);
+    }
+    if (any) {
+      topk.Offer(static_cast<corpus::DocId>(d), oracle.Normalize(dl, score));
+    }
+  }
+  return topk.Finish();
+}
+
+void ExpectSameBits(const std::vector<ScoredDoc>& got,
+                    const std::vector<ScoredDoc>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].doc, want[i].doc) << what << " rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << what << " rank " << i;
+  }
+}
+
 TEST(EngineTest, MatchesBruteForceScoring) {
   // Every document scored from its raw tokens with the one-shot oracle
   // formulas, summed in ascending term order (std::map), then normalized.
@@ -177,7 +235,10 @@ TEST(EngineTest, MatchesBruteForceScoring) {
   // made to both strategies at once passes every cross-strategy parity test
   // but not this one.
   const auto& world = toppriv::testing::World();
-  const CollectionStats stats = CollectionStats::Of(world.index);
+  Docs docs;
+  for (const corpus::Document& d : world.corpus.documents()) {
+    docs.push_back(d.tokens);
+  }
   for (int kind = 0; kind < 3; ++kind) {
     SearchEngine engine(world.corpus, world.index, ScorerByKind(kind));
     const OracleScorer reference = OracleScorer::Of(engine.scorer().kind());
@@ -193,36 +254,10 @@ TEST(EngineTest, MatchesBruteForceScoring) {
             rng.UniformInt(uint64_t{world.corpus.vocabulary_size()})));
       }
       if (trial % 2 == 1) query.insert(query.end(), 2, query[0]);
-      std::vector<ScoredDoc> got = engine.Evaluate(query, 20);
-
-      // Brute force: score every document directly.
-      std::map<text::TermId, uint32_t> qtf;
-      for (text::TermId t : query) ++qtf[t];
-      TopK expected(20);
-      for (const corpus::Document& d : world.corpus.documents()) {
-        std::map<text::TermId, uint32_t> tf;
-        for (text::TermId t : d.tokens) ++tf[t];
-        const uint32_t dl = world.index.DocLength(d.id);
-        double score = 0.0;
-        bool any = false;
-        for (const auto& [term, qcount] : qtf) {
-          auto it = tf.find(term);
-          if (it == tf.end()) continue;
-          any = true;
-          score += reference.TermScore(stats, dl, it->second,
-                                       world.index.DocFreq(term), qcount);
-        }
-        if (any) expected.Offer(d.id, reference.Normalize(dl, score));
-      }
-      std::vector<ScoredDoc> want = expected.Finish();
-      ASSERT_EQ(got.size(), want.size())
-          << engine.scorer().Name() << " trial " << trial;
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].doc, want[i].doc)
-            << engine.scorer().Name() << " trial " << trial << " rank " << i;
-        EXPECT_EQ(got[i].score, want[i].score)
-            << engine.scorer().Name() << " trial " << trial << " rank " << i;
-      }
+      ExpectSameBits(engine.Evaluate(query, 20),
+                     BruteForceTopK(docs, reference, query, 20),
+                     engine.scorer().Name() + " trial " +
+                         std::to_string(trial));
     }
   }
 }
@@ -307,6 +342,137 @@ TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
         EXPECT_EQ(got_reused[i].doc, want[i].doc) << "trial " << trial;
         EXPECT_EQ(got_reused[i].score, want[i].score) << "trial " << trial;
       }
+    }
+  }
+}
+
+// ------------------------------------------------------- BM25 norm table --
+
+constexpr text::TermId kNormVocab = 12;
+
+/// `n` documents over a kNormVocab-term vocabulary. Lengths are mostly
+/// short, scaled by `scale`, plus documents on both sides of the norm
+/// table's edge and a few far past it.
+Docs NormTableDocs(uint64_t seed, size_t n, uint64_t scale) {
+  util::Rng rng(seed);
+  const uint32_t edge = EvalScratch::kNormTableSize;
+  Docs docs;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t len = 1 + static_cast<uint32_t>(rng.UniformInt(scale));
+    if (i % 10 == 3) len = edge - 1 + static_cast<uint32_t>(i % 3);
+    if (i % 17 == 5) len = 3 * edge;
+    std::vector<text::TermId> tokens(len);
+    for (text::TermId& t : tokens) {
+      t = static_cast<text::TermId>(rng.UniformInt(uint64_t{kNormVocab}));
+    }
+    docs.push_back(std::move(tokens));
+  }
+  return docs;
+}
+
+corpus::Corpus CorpusOf(const Docs& docs) {
+  corpus::Corpus c;
+  for (text::TermId t = 0; t < kNormVocab; ++t) {
+    c.mutable_vocabulary().AddTerm("t" + std::to_string(t));
+  }
+  for (size_t d = 0; d < docs.size(); ++d) {
+    c.AddDocument("d" + std::to_string(d), docs[d]);
+  }
+  return c;
+}
+
+std::vector<text::TermId> RandomNormQuery(util::Rng* rng) {
+  std::vector<text::TermId> query(1 + rng->UniformInt(uint64_t{4}));
+  for (text::TermId& t : query) {
+    t = static_cast<text::TermId>(rng->UniformInt(uint64_t{kNormVocab}));
+  }
+  return query;
+}
+
+TEST(EngineTest, Bm25NormTableFollowsIndexAndParameters) {
+  // One thread, hence one scratch and one norm table, alternates two
+  // indexes with different avgdl and three BM25 parameter sets. Every query
+  // must still score with its own (k1, b, avgdl): a table cached under a
+  // key that misses any of them would hand the next engine stale norms.
+  const Docs short_docs = NormTableDocs(5, 300, 60);
+  const Docs long_docs = NormTableDocs(6, 200, 700);
+  const corpus::Corpus short_corpus = CorpusOf(short_docs);
+  const corpus::Corpus long_corpus = CorpusOf(long_docs);
+  const index::InvertedIndex short_index =
+      index::InvertedIndex::Build(short_corpus);
+  const index::InvertedIndex long_index =
+      index::InvertedIndex::Build(long_corpus);
+  ASSERT_NE(short_index.avg_doc_length(), long_index.avg_doc_length());
+
+  // For each of k1, b and avgdl, some two consecutive cases differ in it
+  // alone.
+  struct Case {
+    const Docs* docs;
+    const corpus::Corpus* corpus;
+    const index::InvertedIndex* index;
+    double k1;
+    double b;
+  };
+  const std::vector<Case> cases = {
+      {&short_docs, &short_corpus, &short_index, 1.2, 0.75},
+      {&short_docs, &short_corpus, &short_index, 0.9, 0.75},
+      {&short_docs, &short_corpus, &short_index, 0.9, 0.4},
+      {&long_docs, &long_corpus, &long_index, 0.9, 0.4},
+  };
+  std::vector<std::unique_ptr<SearchEngine>> engines;
+  for (const Case& c : cases) {
+    engines.push_back(std::make_unique<SearchEngine>(
+        *c.corpus, *c.index, MakeBm25Scorer(c.k1, c.b)));
+  }
+  util::Rng rng(404);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::vector<text::TermId> query = RandomNormQuery(&rng);
+    for (size_t i = 0; i < cases.size(); ++i) {
+      OracleScorer oracle = OracleScorer::Of(Scorer::Kind::kBm25);
+      oracle.k1 = cases[i].k1;
+      oracle.b = cases[i].b;
+      ExpectSameBits(engines[i]->Evaluate(query, 25),
+                     BruteForceTopK(*cases[i].docs, oracle, query, 25),
+                     "case " + std::to_string(i) + " trial " +
+                         std::to_string(trial));
+    }
+  }
+}
+
+TEST(EngineTest, Bm25NormTableFollowsALiveIndexAcrossRefresh) {
+  // Each refresh moves the live view's avgdl; queries after it, and a
+  // static engine's queries in between, must each use their own norms.
+  const Docs first = NormTableDocs(7, 150, 60);
+  const Docs second = NormTableDocs(8, 120, 900);
+  const Docs static_docs = NormTableDocs(9, 100, 300);
+  const corpus::Corpus static_corpus = CorpusOf(static_docs);
+  const index::InvertedIndex static_index =
+      index::InvertedIndex::Build(static_corpus);
+  SearchEngine static_engine(static_corpus, static_index, MakeBm25Scorer());
+
+  index::live::LiveIndex live;
+  live.EnsureTermSpace(kNormVocab);
+  SearchEngine live_engine(static_corpus, live, MakeBm25Scorer());
+  const OracleScorer oracle = OracleScorer::Of(Scorer::Kind::kBm25);
+
+  Docs ingested;
+  util::Rng rng(505);
+  double last_avgdl = -1.0;
+  for (const Docs* batch : {&first, &second, &first}) {
+    live.Ingest(*batch);
+    live.Refresh();
+    ingested.insert(ingested.end(), batch->begin(), batch->end());
+    ASSERT_NE(live.Acquire()->avg_doc_length(), last_avgdl);
+    last_avgdl = live.Acquire()->avg_doc_length();
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::vector<text::TermId> query = RandomNormQuery(&rng);
+      ExpectSameBits(live_engine.Evaluate(query, 25),
+                     BruteForceTopK(ingested, oracle, query, 25),
+                     "live after " + std::to_string(ingested.size()) +
+                         " docs, trial " + std::to_string(trial));
+      ExpectSameBits(static_engine.Evaluate(query, 25),
+                     BruteForceTopK(static_docs, oracle, query, 25),
+                     "static, trial " + std::to_string(trial));
     }
   }
 }
