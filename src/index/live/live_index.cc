@@ -1016,11 +1016,6 @@ util::Status LiveIndex::SyncWal() {
   return SyncWalLocked();
 }
 
-bool LiveIndex::durable() const {
-  util::MutexLock lock(&mu_);
-  return fs_ != nullptr;
-}
-
 bool LiveIndex::healthy() const {
   util::MutexLock lock(&mu_);
   return wal_error_.ok();

@@ -298,8 +298,6 @@ class LiveIndex {
   /// Syncs buffered WAL appends (the kManual policy's durability point).
   util::Status SyncWal() EXCLUDES(mu_);
 
-  /// True when this index was opened with Recover().
-  bool durable() const EXCLUDES(mu_);
   /// False after a WAL/checkpoint I/O failure: the index refuses further
   /// mutations (queries still work) so memory can never run ahead of what
   /// recovery could reconstruct. wal_status() carries the current error

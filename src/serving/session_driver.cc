@@ -98,8 +98,6 @@ SessionStats SessionDriver::RunSession(uint64_t session_id,
     TOPPRIV_HISTOGRAM_OBSERVE("toppriv.ghost_generation_us",
                               cycle.generation_seconds * 1e6,
                               util::LatencyBucketsUs());
-    TOPPRIV_HISTOGRAM_OBSERVE("toppriv.ghosts_per_cycle", cycle.num_ghosts(),
-                              util::CountBuckets());
 
     digest.Mix(cycle.user_index);
     digest.Mix(cycle.queries.size());

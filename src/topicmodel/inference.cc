@@ -34,17 +34,16 @@ uint64_t HashTerms(const std::vector<text::TermId>& terms) {
 }
 
 // The dense step: the full prefix-sum CDF over all topics, then a binary
-// search for the first entry above u * total. `u` is the uniform this step
-// already drew, or negative if it drew none yet.
-uint16_t DenseDraw(const LdaModel& model, const std::vector<uint32_t>& counts,
-                   text::TermId w, double u, util::Rng* rng,
-                   std::vector<double>* cdf) {
-  const size_t num_topics = model.num_topics();
-  const double alpha = model.alpha();
+// search for the first entry above u * total. `phi_w` is the token's word
+// row of phi; `u` is the uniform this step already drew, or negative if it
+// drew none yet.
+uint16_t DenseDraw(const float* phi_w, size_t num_topics, double alpha,
+                   const std::vector<uint32_t>& counts, double u,
+                   util::Rng* rng, std::vector<double>* cdf) {
   double total = 0.0;
   for (size_t t = 0; t < num_topics; ++t) {
     double p = (static_cast<double>(counts[t]) + alpha) *
-               model.Phi(static_cast<TopicId>(t), w);
+               static_cast<double>(phi_w[t]);
     total += p;
     (*cdf)[t] = total;
   }
@@ -74,10 +73,9 @@ uint16_t DenseDraw(const LdaModel& model, const std::vector<uint32_t>& counts,
 // more than `delta` from r. As delta bounds how far these sums and r can
 // be from the dense CDF and the dense target, the dense CDF then brackets
 // the dense target at t too. Otherwise returns kNoDraw.
-size_t SparseDraw(const LdaModel& model, const double* smoothing_cdf,
-                  size_t num_blocks, const InferenceWorkspace& ws,
-                  text::TermId w, double r, double delta) {
-  const size_t num_topics = model.num_topics();
+size_t SparseDraw(const float* phi_w, size_t num_topics, double alpha,
+                  const double* smoothing_cdf, size_t num_blocks,
+                  const InferenceWorkspace& ws, double r, double delta) {
   const size_t num_nonzero = ws.nonzero.size();
   size_t b = 0, j = 0;
   double below = 0.0, count_prefix = 0.0;
@@ -86,19 +84,18 @@ size_t SparseDraw(const LdaModel& model, const double* smoothing_cdf,
     const size_t end = std::min(num_topics, (b + 1) * kBlock);
     for (; j < num_nonzero && ws.nonzero[j] < end; ++j) {
       count_prefix += static_cast<double>(ws.counts[ws.nonzero[j]]) *
-                      model.Phi(ws.nonzero[j], w);
+                      static_cast<double>(phi_w[ws.nonzero[j]]);
     }
     const double above = smoothing_cdf[b] + count_prefix;
     if (above > r) break;
     below = above;
   }
-  const double alpha = model.alpha();
   const size_t end = std::min(num_topics, (b + 1) * kBlock);
   double sum = below;
   for (size_t t = b * kBlock; t < end; ++t) {
     const double before = sum;
     sum += (static_cast<double>(ws.counts[t]) + alpha) *
-           model.Phi(static_cast<TopicId>(t), w);
+           static_cast<double>(phi_w[t]);
     if (sum > r) return r - before > delta && sum - r > delta ? t : kNoDraw;
   }
   return kNoDraw;
@@ -115,18 +112,19 @@ LdaInferencer::LdaInferencer(const LdaModel& model, InferenceOptions options)
   // The sampler stores topic ids as uint16_t.
   TOPPRIV_CHECK_LE(model_.num_topics(), 65535u);
 
-  // One pass over phi's rows, keeping running[w] = sum_{t' <= t} phi_t'w.
+  // One pass per word over its phi row: block b's entry is alpha times the
+  // topic-order sum of phi_tw over topics t < 16 (b + 1).
   const size_t num_topics = model_.num_topics();
   const size_t vocab_size = model_.vocab_size();
   smoothing_cdf_.resize(vocab_size * num_blocks_);
-  std::vector<double> running(vocab_size, 0.0);
-  for (size_t t = 0; t < num_topics; ++t) {
-    util::Span<const float> row = model_.PhiRow(static_cast<TopicId>(t));
-    for (size_t w = 0; w < vocab_size; ++w) running[w] += row[w];
-    if ((t + 1) % kBlock == 0 || t + 1 == num_topics) {
-      const size_t b = t / kBlock;
-      for (size_t w = 0; w < vocab_size; ++w) {
-        smoothing_cdf_[w * num_blocks_ + b] = model_.alpha() * running[w];
+  for (size_t w = 0; w < vocab_size; ++w) {
+    util::Span<const float> row = model_.PhiWord(static_cast<text::TermId>(w));
+    double* out = &smoothing_cdf_[w * num_blocks_];
+    double running = 0.0;
+    for (size_t t = 0; t < num_topics; ++t) {
+      running += row[t];
+      if ((t + 1) % kBlock == 0 || t + 1 == num_topics) {
+        out[t / kBlock] = model_.alpha() * running;
       }
     }
   }
@@ -209,28 +207,32 @@ std::vector<double> LdaInferencer::InferQuery(
       const uint16_t old_t = z[i];
       --counts[old_t];
       const text::TermId w = tokens[i];
+      const float* phi_w = model_.PhiWord(w).data();
       const double* smoothing_cdf = &smoothing_cdf_[w * num_blocks_];
       // Summed in the order SparseDraw's block walk repeats, so its last
       // block end is exactly `total`.
       double count_mass = 0.0;
       for (uint16_t t : nonzero) {
-        count_mass += static_cast<double>(counts[t]) * model_.Phi(t, w);
+        count_mass +=
+            static_cast<double>(counts[t]) * static_cast<double>(phi_w[t]);
       }
       const double total = smoothing_cdf[num_blocks_ - 1] + count_mass;
       uint16_t new_t;
       if (total >= kMinFastTotal && total <= kMaxFastTotal) {
         const double u = rng.Uniform();
-        const size_t pick =
-            SparseDraw(model_, smoothing_cdf, num_blocks_, *workspace, w,
-                       u * total, relative_slack * total + absolute_slack);
+        const size_t pick = SparseDraw(
+            phi_w, num_topics, alpha, smoothing_cdf, num_blocks_, *workspace,
+            u * total, relative_slack * total + absolute_slack);
         if (pick != kNoDraw) {
           new_t = static_cast<uint16_t>(pick);
         } else {
-          new_t = DenseDraw(model_, counts, w, u, &rng, &workspace->cdf);
+          new_t = DenseDraw(phi_w, num_topics, alpha, counts, u, &rng,
+                            &workspace->cdf);
           ++fallbacks;
         }
       } else {
-        new_t = DenseDraw(model_, counts, w, -1.0, &rng, &workspace->cdf);
+        new_t = DenseDraw(phi_w, num_topics, alpha, counts, -1.0, &rng,
+                          &workspace->cdf);
         ++fallbacks;
       }
       z[i] = new_t;

@@ -22,7 +22,10 @@ struct WordProb {
   double prob = 0.0;
 };
 
-/// Immutable trained model.
+/// Immutable trained model. φ is stored word-major, [vocab_size x
+/// num_topics]: the fold-in sampler reads Pr(w|t) for every topic of one
+/// word per token, so that row is contiguous. The serialized form stays
+/// topic-major and is transposed on load.
 class LdaModel {
  public:
   LdaModel() = default;
@@ -32,8 +35,9 @@ class LdaModel {
   LdaModel(LdaModel&&) = default;
   LdaModel& operator=(LdaModel&&) = default;
 
-  /// Constructs from estimated parameters. `phi` is row-major
-  /// [num_topics x vocab_size] with rows summing to 1; `theta` is row-major
+  /// Constructs from estimated parameters. `phi` is topic-major, row-major
+  /// [num_topics x vocab_size] with rows summing to 1, and is transposed
+  /// into the word-major store; `theta` is row-major
   /// [num_docs x num_topics]; `alpha`/`beta` are the training
   /// hyperparameters (needed again at inference time). Every phi/theta
   /// entry must be finite and non-negative, and alpha/beta finite and
@@ -52,11 +56,11 @@ class LdaModel {
 
   /// Pr(w|t): probability of term `w` under topic `t`.
   double Phi(TopicId t, text::TermId w) const {
-    return phi_[static_cast<size_t>(t) * vocab_size_ + w];
+    return phi_[static_cast<size_t>(w) * num_topics_ + t];
   }
-  /// Row view of Pr(.|t).
-  util::Span<const float> PhiRow(TopicId t) const {
-    return {phi_.data() + static_cast<size_t>(t) * vocab_size_, vocab_size_};
+  /// Pr(w|t) for every topic t of one word, in topic order.
+  util::Span<const float> PhiWord(text::TermId w) const {
+    return {phi_.data() + static_cast<size_t>(w) * num_topics_, num_topics_};
   }
 
   /// Pr(t|d) for a training document.
@@ -74,17 +78,25 @@ class LdaModel {
   /// quantity plotted in the paper's Fig. 6 (its LDA200 was ~140 MB).
   size_t SizeBytes() const;
 
-  /// Serialization (experiment cache). Deserialize returns DataLoss for
-  /// inconsistent dimensions and for values Create would refuse.
+  /// Serialization (experiment cache). The format writes φ topic-major, as
+  /// Create takes it. Deserialize returns DataLoss for inconsistent
+  /// dimensions and for values Create would refuse.
   std::string Serialize() const;
   static util::StatusOr<LdaModel> Deserialize(const std::string& bytes);
 
  private:
+  // Finishes a model whose φ is already word-major, from values that
+  // Create or Deserialize has validated.
+  static LdaModel FromWordMajor(size_t num_topics, size_t vocab_size,
+                                std::vector<float> phi,
+                                std::vector<float> theta, double alpha,
+                                double beta);
+
   size_t num_topics_ = 0;
   size_t vocab_size_ = 0;
   double alpha_ = 0.0;
   double beta_ = 0.0;
-  std::vector<float> phi_;
+  std::vector<float> phi_;  // word-major [vocab_size x num_topics]
   std::vector<float> theta_;
   std::vector<double> prior_;
 };

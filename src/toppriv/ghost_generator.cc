@@ -41,16 +41,18 @@ double MixtureExposure(const std::vector<double>& sum,
 }  // namespace
 
 TopicCdfTable::TopicCdfTable(const topicmodel::LdaModel& model) {
-  cdfs_.resize(model.num_topics());
-  for (size_t topic = 0; topic < cdfs_.size(); ++topic) {
-    util::Span<const float> row =
-        model.PhiRow(static_cast<topicmodel::TopicId>(topic));
-    std::vector<double>& cdf = cdfs_[topic];
-    cdf.reserve(row.size());
-    double acc = 0.0;
-    for (float p : row) {
-      acc += static_cast<double>(p);
-      cdf.push_back(acc);
+  // Word-outer, so phi is read in its storage order; each topic's running
+  // sum still adds its words in order.
+  const size_t num_topics = model.num_topics();
+  const size_t vocab_size = model.vocab_size();
+  cdfs_.resize(num_topics);
+  for (std::vector<double>& cdf : cdfs_) cdf.reserve(vocab_size);
+  std::vector<double> acc(num_topics, 0.0);
+  for (size_t w = 0; w < vocab_size; ++w) {
+    util::Span<const float> row = model.PhiWord(static_cast<text::TermId>(w));
+    for (size_t t = 0; t < num_topics; ++t) {
+      acc[t] += static_cast<double>(row[t]);
+      cdfs_[t].push_back(acc[t]);
     }
   }
 }

@@ -1,5 +1,8 @@
 #include "toppriv/session.h"
 
+#include <algorithm>
+
+#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace toppriv::core {
@@ -39,6 +42,15 @@ QueryCycle SessionProtector::ProtectImpl(
   TOPPRIV_TRACE_SPAN(protect_span, "toppriv.protect");
   generator_.set_preferred_masking_topics({cover_.begin(), cover_.end()});
   QueryCycle cycle = generator_.Protect(user_query, rng);
+  // Def. 4 as the operator sees it, read from the finished cycle (never
+  // from the RNG). Exposure is floored to whole basis points; a negative
+  // boost counts as 0.
+  TOPPRIV_HISTOGRAM_OBSERVE("toppriv.exposure_after_bp",
+                            std::max(0.0, cycle.exposure_after * 1e4),
+                            util::ExponentialBuckets(1, 2, 15));
+  if (!cycle.met_epsilon2) TOPPRIV_COUNTER_INC("toppriv.eps2_unmet");
+  TOPPRIV_HISTOGRAM_OBSERVE("toppriv.ghosts_per_cycle", cycle.num_ghosts(),
+                            util::CountBuckets());
 
   // Absorb newly used masking topics into the cover story (bounded).
   // Skipped in degraded mode: the cover story freezes (stale but intact)

@@ -134,18 +134,25 @@ Status BinaryReader::ReadDoubleVector(std::vector<double>* v) {
 }
 
 Status BinaryReader::ReadFloatVector(std::vector<float>* v) {
+  size_t n = 0;
+  const char* bytes = nullptr;
+  TOPPRIV_RETURN_IF_ERROR(ReadFloatArray(&n, &bytes));
+  v->resize(n);
+  // n == 0 leaves data() null on a fresh vector, and memcpy's pointer
+  // arguments are declared nonnull even for zero sizes (UBSan enforces it).
+  if (n != 0) std::memcpy(v->data(), bytes, n * sizeof(float));
+  return Status::Ok();
+}
+
+Status BinaryReader::ReadFloatArray(size_t* count, const char** bytes) {
   uint64_t n = 0;
   TOPPRIV_RETURN_IF_ERROR(ReadVarint(&n));
   if (n > remaining() / sizeof(float)) {
     return Status::DataLoss("float vector count exceeds payload");
   }
-  v->resize(n);
-  // n == 0 leaves data() null on a fresh vector, and memcpy's pointer
-  // arguments are declared nonnull even for zero sizes (UBSan enforces it).
-  if (n != 0) {
-    std::memcpy(v->data(), buf_.data() + pos_, n * sizeof(float));
-    pos_ += n * sizeof(float);
-  }
+  *count = static_cast<size_t>(n);
+  *bytes = buf_.data() + pos_;
+  pos_ += *count * sizeof(float);
   return Status::Ok();
 }
 

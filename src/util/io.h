@@ -55,6 +55,10 @@ class BinaryReader {
   Status ReadString(std::string* s);
   Status ReadDoubleVector(std::vector<double>* v);
   Status ReadFloatVector(std::vector<float>* v);
+  /// Reads a WriteFloatVector payload without copying it: `*count` floats
+  /// start at `*bytes` inside the reader's buffer, at any alignment (read
+  /// them with memcpy). The view lives as long as the reader.
+  Status ReadFloatArray(size_t* count, const char** bytes);
   Status ReadU32Vector(std::vector<uint32_t>* v);
 
   /// True when the whole buffer has been consumed.

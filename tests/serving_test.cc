@@ -13,6 +13,7 @@
 #include "serving/session_driver.h"
 #include "tests/test_helpers.h"
 #include "topicmodel/inference.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace toppriv::serving {
@@ -116,6 +117,78 @@ TEST_F(SessionDriverTest, RepeatedRunsAreIdentical) {
   ServingReport b = RunWith(2, sessions);
   for (size_t s = 0; s < a.sessions.size(); ++s) {
     EXPECT_EQ(a.sessions[s].digest, b.sessions[s].digest);
+  }
+}
+
+// Registry totals of the per-cycle privacy metrics (0 when never observed).
+struct PrivacyTotals {
+  uint64_t exposure_observations = 0;
+  uint64_t ghost_observations = 0;
+  uint64_t eps2_unmet = 0;
+};
+
+PrivacyTotals ReadPrivacyTotals() {
+  PrivacyTotals totals;
+  const util::MetricsRegistry::Snapshot snap =
+      util::MetricsRegistry::Default().Snap();
+  for (const auto& c : snap.counters) {
+    if (c.name == "toppriv.eps2_unmet") totals.eps2_unmet = c.value;
+  }
+  for (const auto& h : snap.histograms) {
+    if (h.name == "toppriv.exposure_after_bp") {
+      totals.exposure_observations = h.snap.count;
+    } else if (h.name == "toppriv.ghosts_per_cycle") {
+      totals.ghost_observations = h.snap.count;
+    }
+  }
+  return totals;
+}
+
+TEST_F(SessionDriverTest, PrivacyMetricsCountEveryServedCycle) {
+  std::vector<SessionWorkload> sessions = MakeSessions(3, 4);
+  DriverOptions options;
+  options.num_threads = 1;
+  options.seed = 7;
+  // One ghost per cycle leaves some cycles above epsilon2, so the unmet
+  // counter has something to count.
+  options.spec.fixed_ghost_count = 1;
+  SessionDriver driver(World().model, inferencer_, engine_, options);
+
+  const PrivacyTotals before = ReadPrivacyTotals();
+  const ServingReport closed = driver.Run(sessions);
+  const PrivacyTotals mid = ReadPrivacyTotals();
+  size_t unmet = 0;
+  for (const SessionStats& s : closed.sessions) {
+    unmet += s.cycles - s.met_epsilon2;
+  }
+  EXPECT_GT(unmet, 0u);
+
+  // On one thread each arrival is served before the next is admitted, so
+  // none is shed or degraded, and arrival i serves session i % 3's next
+  // query: the closed loop's cycles again, on the same RNG streams.
+  OpenLoopOptions open;
+  open.arrival_qps = 1e6;
+  open.num_arrivals = closed.total_cycles;
+  const OpenLoopReport report = driver.RunOpenLoop(sessions, open);
+  const PrivacyTotals after = ReadPrivacyTotals();
+  ASSERT_EQ(report.admitted, closed.total_cycles);
+  ASSERT_EQ(report.degraded_admissions, 0u);
+
+#ifdef TOPPRIV_METRICS
+  const uint64_t served[] = {closed.total_cycles, report.admitted};
+#else
+  const uint64_t served[] = {0, 0};
+  unmet = 0;
+#endif
+  const PrivacyTotals* windows[][2] = {{&before, &mid}, {&mid, &after}};
+  for (size_t i = 0; i < 2; ++i) {
+    const PrivacyTotals& from = *windows[i][0];
+    const PrivacyTotals& to = *windows[i][1];
+    EXPECT_EQ(to.exposure_observations - from.exposure_observations,
+              served[i])
+        << (i == 0 ? "Run" : "RunOpenLoop");
+    EXPECT_EQ(to.ghost_observations - from.ghost_observations, served[i]);
+    EXPECT_EQ(to.eps2_unmet - from.eps2_unmet, unmet);
   }
 }
 

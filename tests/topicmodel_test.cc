@@ -16,6 +16,7 @@
 #include "topicmodel/gibbs_trainer.h"
 #include "topicmodel/inference.h"
 #include "topicmodel/lda_model.h"
+#include "toppriv/ghost_generator.h"
 #include "util/io.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -30,10 +31,11 @@ using toppriv::testing::World;
 TEST(LdaModelTest, PhiRowsAreDistributions) {
   const LdaModel& model = World().model;
   for (size_t t = 0; t < model.num_topics(); ++t) {
-    util::Span<const float> row = model.PhiRow(static_cast<TopicId>(t));
     double sum = 0.0;
-    for (float p : row) {
-      EXPECT_GE(p, 0.0f);
+    for (size_t w = 0; w < model.vocab_size(); ++w) {
+      double p =
+          model.Phi(static_cast<TopicId>(t), static_cast<text::TermId>(w));
+      EXPECT_GE(p, 0.0);
       sum += p;
     }
     EXPECT_NEAR(sum, 1.0, 1e-3) << "topic " << t;
@@ -106,7 +108,7 @@ TEST(LdaModelTest, DeserializeGarbageFails) {
 TEST(LdaModelTest, DeserializeRejectsOverflowingDimensions) {
   // Regression: num_topics * vocab_size was validated with a raw uint64
   // multiply, so dimensions chosen to wrap (2^32 * 2^32 == 0 mod 2^64)
-  // "matched" an empty phi and produced a model whose PhiRow reads far out
+  // "matched" an empty phi and produced a model whose Phi reads far out
   // of bounds. The division-based check must reject it with DataLoss.
   util::BinaryWriter w;
   w.WriteVarint(uint64_t{1} << 32);  // num_topics
@@ -216,6 +218,95 @@ TEST(LdaModelDeathTest, CreateChecksValues) {
       LdaModel::Create(2, 2, phi, {}, 0.1,
                        std::numeric_limits<double>::quiet_NaN()),
       "CHECK failed");
+}
+
+// ------------------------------------------------------------ phi layout --
+
+// Non-square shapes, below and across the transpose's 32 x 32 tiles.
+const std::vector<std::pair<size_t, size_t>>& LayoutShapes() {
+  static const std::vector<std::pair<size_t, size_t>> shapes = {
+      {3, 5}, {5, 3}, {37, 70}, {70, 37}};
+  return shapes;
+}
+
+// Topic-major phi with every entry distinct, so any stride mix-up reads a
+// wrong value.
+std::vector<float> DistinctPhi(size_t num_topics, size_t vocab_size) {
+  std::vector<float> phi(num_topics * vocab_size);
+  for (size_t i = 0; i < phi.size(); ++i) {
+    phi[i] = static_cast<float>(i + 1) / 4096.0f;
+  }
+  return phi;
+}
+
+TEST(LdaModelLayoutTest, PhiReadsTheTopicMajorInput) {
+  for (const auto& [num_topics, vocab_size] : LayoutShapes()) {
+    const std::vector<float> phi = DistinctPhi(num_topics, vocab_size);
+    LdaModel model =
+        LdaModel::Create(num_topics, vocab_size, phi, {}, 0.1, 0.1);
+    for (size_t w = 0; w < vocab_size; ++w) {
+      const auto term = static_cast<text::TermId>(w);
+      util::Span<const float> row = model.PhiWord(term);
+      ASSERT_EQ(row.size(), num_topics);
+      for (size_t t = 0; t < num_topics; ++t) {
+        const float want = phi[t * vocab_size + w];
+        EXPECT_EQ(model.Phi(static_cast<TopicId>(t), term), want)
+            << num_topics << "x" << vocab_size << " t=" << t << " w=" << w;
+        EXPECT_EQ(row[t], want);
+      }
+    }
+  }
+}
+
+TEST(LdaModelLayoutTest, SerializeWritesTopicMajor) {
+  for (const auto& [num_topics, vocab_size] : LayoutShapes()) {
+    const std::vector<float> phi = DistinctPhi(num_topics, vocab_size);
+    std::vector<float> theta(2 * num_topics);
+    for (size_t i = 0; i < theta.size(); ++i) {
+      theta[i] = static_cast<float>(i) / 512.0f;
+    }
+    util::BinaryWriter expected;
+    expected.WriteVarint(num_topics);
+    expected.WriteVarint(vocab_size);
+    expected.WriteDouble(0.25);
+    expected.WriteDouble(0.125);
+    expected.WriteFloatVector(phi);
+    expected.WriteFloatVector(theta);
+
+    LdaModel model =
+        LdaModel::Create(num_topics, vocab_size, phi, theta, 0.25, 0.125);
+    EXPECT_EQ(model.Serialize(), expected.data())
+        << num_topics << "x" << vocab_size;
+    auto restored = LdaModel::Deserialize(expected.data());
+    ASSERT_TRUE(restored.ok());
+    EXPECT_EQ(restored->Serialize(), expected.data());
+    for (size_t t = 0; t < num_topics; ++t) {
+      for (size_t w = 0; w < vocab_size; ++w) {
+        EXPECT_EQ(restored->Phi(static_cast<TopicId>(t),
+                                static_cast<text::TermId>(w)),
+                  phi[t * vocab_size + w]);
+      }
+    }
+  }
+}
+
+TEST(LdaModelLayoutTest, TopicCdfRowsArePrefixSums) {
+  for (const auto& [num_topics, vocab_size] : LayoutShapes()) {
+    const std::vector<float> phi = DistinctPhi(num_topics, vocab_size);
+    LdaModel model =
+        LdaModel::Create(num_topics, vocab_size, phi, {}, 0.1, 0.1);
+    core::TopicCdfTable table(model);
+    ASSERT_EQ(table.num_topics(), num_topics);
+    for (size_t t = 0; t < num_topics; ++t) {
+      const std::vector<double>& row = table.row(static_cast<TopicId>(t));
+      ASSERT_EQ(row.size(), vocab_size);
+      double acc = 0.0;
+      for (size_t w = 0; w < vocab_size; ++w) {
+        acc += static_cast<double>(phi[t * vocab_size + w]);
+        EXPECT_EQ(row[w], acc) << "t=" << t << " w=" << w;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ GibbsTrainer --
@@ -424,7 +515,10 @@ TEST(InferencerTest, MatchesDenseOracleBitForBit) {
   for (size_t t = 0; t < model.num_topics(); ++t) {
     std::vector<double> cdf;
     double sum = 0.0;
-    for (float p : model.PhiRow(static_cast<TopicId>(t))) cdf.push_back(sum += p);
+    for (size_t w = 0; w < model.vocab_size(); ++w) {
+      cdf.push_back(sum += model.Phi(static_cast<TopicId>(t),
+                                     static_cast<text::TermId>(w)));
+    }
     const size_t base = world.workload[t % world.workload.size()].term_ids.size();
     for (size_t scale = 1; scale <= 3; ++scale) {
       std::vector<text::TermId> ghost;
