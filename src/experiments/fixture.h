@@ -58,7 +58,7 @@ struct FixtureConfig {
   /// scatter on the caller's thread; 0 = hardware concurrency).
   size_t shard_threads = 1;
   /// Ignored: perfbench is its only user; the benchmark change of ROADMAP
-  /// item 5 removes it.
+  /// item 2 removes it.
   search::EvalStrategy eval_strategy = search::EvalStrategy::kTAAT;
   /// Fraction of the corpus a MakeLiveIndex live index ingests up-front
   /// (TOPPRIV_LIVE_INGEST, clamped to [0, 1]); the remainder is streamed
@@ -125,7 +125,7 @@ class ExperimentFixture {
   /// sharded by setting TOPPRIV_SHARDS — results are identical by the
   /// parity contract, so the figures are architecture-independent.
   /// `strategy` is ignored: perfbench is its only reader; the benchmark
-  /// change of ROADMAP item 5 removes it.
+  /// change of ROADMAP item 2 removes it.
   std::unique_ptr<search::QueryEngine> MakeEngine(
       std::unique_ptr<search::Scorer> scorer, size_t num_shards,
       size_t shard_threads = 1,

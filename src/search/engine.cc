@@ -14,15 +14,9 @@
 namespace toppriv::search {
 
 void EvalScratch::Prepare(size_t num_documents) {
-  if (scores_.size() < num_documents) {
-    // Scores need no initialization: a slot is only read after its
-    // first-touch assignment below.
-    scores_.resize(num_documents);
-    is_touched_.resize(num_documents, 0);
-  }
-  // Self-healing reset in case a previous query was abandoned mid-flight.
-  for (corpus::DocId doc : touched_) is_touched_[doc] = 0;
-  touched_.clear();
+  if (scores_.size() < num_documents) scores_.resize(num_documents, 0.0);
+  const size_t slots = num_documents + index::kPostingBlockSize;
+  if (touched_.size() < slots) touched_.resize(slots);
 }
 
 const double* EvalScratch::Bm25Norms(const Bm25Scorer::Kernel& kernel) {
@@ -81,15 +75,11 @@ std::vector<ScoredDoc> EvaluateTopK(const index::InvertedIndex& index,
   // Term-at-a-time accumulation over posting lists into the contiguous
   // per-document array; documents containing none of the query terms are
   // never touched (the scalability property the paper's PIR discussion
-  // contrasts against). The first touch assigns 0.0 before accumulating so
-  // a slot's history cannot leak between queries. Postings stream through
-  // one stack-resident PostingBlock, batch-decoded 128 at a time.
-  // Raw pointers, not vector references: touched.push_back below may
-  // write any memory as far as the compiler knows, which would otherwise
-  // reload both data pointers on every posting.
+  // contrasts against). Postings stream through one stack-resident
+  // PostingBlock, batch-decoded 128 at a time.
   double* const scores = scratch->scores_.data();
-  char* const is_touched = scratch->is_touched_.data();
-  std::vector<corpus::DocId>& touched = scratch->touched_;
+  corpus::DocId* const touched = scratch->touched_.data();
+  size_t num_touched = 0;
   const uint32_t* doc_lengths = index.doc_lengths().data();
   const size_t num_documents = index.num_documents();
   // Instrumentation accumulates in locals and flushes ONCE per call:
@@ -129,9 +119,10 @@ std::vector<ScoredDoc> EvaluateTopK(const index::InvertedIndex& index,
       }();
       for (size_t b = 0; b < list.num_blocks(); ++b) {
         // Cooperative cancellation, one check per 128-posting block. An
-        // abandoned query surfaces NOTHING (the scratch self-heals on the
-        // next Prepare), so a deadline can never leak a partial top-k.
+        // abandoned query surfaces NOTHING, so a deadline can never leak a
+        // partial top-k; it zeroes the slots it touched first.
         if (deadline != nullptr && deadline->Expired()) {
+          for (size_t j = 0; j < num_touched; ++j) scores[touched[j]] = 0.0;
           flush_metrics();
           return {};
         }
@@ -145,23 +136,30 @@ std::vector<ScoredDoc> EvaluateTopK(const index::InvertedIndex& index,
         for (uint32_t i = 0; i < block.count; ++i) {
           const corpus::DocId doc = block.docs[i];
           if (excluded != nullptr && excluded[doc]) continue;
-          if (!is_touched[doc]) {
-            is_touched[doc] = 1;
-            touched.push_back(doc);
-            scores[doc] = 0.0;
-          }
-          scores[doc] += score(doc_lengths[doc], block.tfs[i]);
+          // Branch-free first touch: a zero slot is an untouched document
+          // (EvalScratch), and 0.0 + c == c keeps the first score's bits.
+          const double contribution = score(doc_lengths[doc], block.tfs[i]);
+          TOPPRIV_DCHECK(contribution > 0.0);
+          const double prev = scores[doc];
+          touched[num_touched] = doc;
+          num_touched += prev == 0.0;
+          scores[doc] = prev + contribution;
         }
+        // Checked in every build, once per block: a zero contribution (an
+        // underflow, say) appends its document again on each posting, and
+        // the kPostingBlockSize spare slots hold one block of such stores.
+        TOPPRIV_CHECK_LE(num_touched, num_documents);
       }
     }
 
+    // Offer in first-touch order and zero each slot behind it, leaving the
+    // accumulator all-zero for the next query (O(touched), not O(docs)).
     TopK topk(k);
-    for (corpus::DocId doc : touched) {
+    for (size_t i = 0; i < num_touched; ++i) {
+      const corpus::DocId doc = touched[i];
       topk.Offer(doc, s.Normalize(doc_lengths[doc], scores[doc]));
+      scores[doc] = 0.0;
     }
-    // Leave the scratch clean for the next query (O(touched), not O(docs)).
-    for (corpus::DocId doc : touched) is_touched[doc] = 0;
-    touched.clear();
     flush_metrics();
     return topk.Finish();
   });

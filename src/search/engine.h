@@ -40,7 +40,7 @@ struct QueryTerm {
 };
 
 /// The one evaluation strategy, term-at-a-time. perfbench is its only
-/// reader; the benchmark change of ROADMAP item 5 removes it.
+/// reader; the benchmark change of ROADMAP item 2 removes it.
 enum class EvalStrategy { kTAAT };
 
 /// Reusable evaluation scratch: a contiguous score accumulator with one
@@ -49,6 +49,12 @@ enum class EvalStrategy { kTAAT };
 /// queries removes the per-query hash-map allocation that used to dominate
 /// Evaluate. Not thread-safe: one scratch per thread (SearchEngine keeps a
 /// thread-local one).
+///
+/// The accumulator is ALL-ZERO between calls, so a slot that reads 0.0 is
+/// a document the current query has not touched yet (every contribution is
+/// > 0: the positivity contract in scorer.h). The TopK pass zeroes every
+/// slot it offers, and an abandoned query zeroes its touched slots before
+/// it returns.
 ///
 /// It also caches BM25's length norm (Bm25Scorer::Kernel::Norm) for every
 /// document length below kNormTableSize, so the posting loop reads a table
@@ -74,15 +80,16 @@ class EvalScratch {
       const std::vector<uint32_t>& dfs, size_t k, EvalScratch* scratch,
       const std::vector<char>* exclude, const util::Deadline* deadline);
 
-  /// Grows the accumulator to cover `num_documents` and resets any state a
-  /// previous (possibly abandoned) query left behind.
+  /// Grows the accumulator and the touched list to cover `num_documents`.
   void Prepare(size_t num_documents);
 
   /// Norm(dl) for every dl < kNormTableSize under `kernel`.
   const double* Bm25Norms(const Bm25Scorer::Kernel& kernel);
 
   std::vector<double> scores_;
-  std::vector<char> is_touched_;
+  /// First-touch order. num_documents + kPostingBlockSize slots: the
+  /// posting loop stores at touched_[n] before it knows whether to keep the
+  /// store, and checks n <= num_documents once per block.
   std::vector<corpus::DocId> touched_;
   /// Bits of (k1, one_minus_b, b, avgdl) norms_ was built for.
   std::array<uint64_t, 4> norm_key_{};
@@ -232,7 +239,7 @@ class QueryEngine {
   virtual const Scorer& scorer() const = 0;
 
   /// Always kTAAT. perfbench is its only reader; the benchmark change of
-  /// ROADMAP item 5 removes it.
+  /// ROADMAP item 2 removes it.
   virtual EvalStrategy eval_strategy() const { return EvalStrategy::kTAAT; }
 };
 

@@ -16,6 +16,12 @@ TfIdfCosineScorer::Kernel TfIdfCosineScorer::PrepareTerm(
   return kernel;
 }
 
+Bm25Scorer::Bm25Scorer(double k1, double b)
+    : Scorer(Kind::kBm25), k1_(k1), b_(b) {
+  TOPPRIV_CHECK(std::isfinite(k1) && k1 >= 0.0);
+  TOPPRIV_CHECK(b >= 0.0 && b <= 1.0);
+}
+
 Bm25Scorer::Kernel Bm25Scorer::PrepareTerm(const CollectionStats& stats,
                                            uint32_t df, uint32_t qtf) const {
   Kernel kernel;
@@ -35,7 +41,7 @@ Bm25Scorer::Kernel Bm25Scorer::PrepareTerm(const CollectionStats& stats,
 
 LmDirichletScorer::LmDirichletScorer(double mu)
     : Scorer(Kind::kLmDirichlet), mu_(mu) {
-  TOPPRIV_CHECK_GT(mu, 0.0);
+  TOPPRIV_CHECK(std::isfinite(mu) && mu > 0.0);
 }
 
 LmDirichletScorer::Kernel LmDirichletScorer::PrepareTerm(

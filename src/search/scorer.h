@@ -29,6 +29,16 @@
 // Kernel domain: tf >= 1 (postings never carry tf 0). A term with df == 0
 // (TF-IDF, BM25) or a collection with total_tokens == 0 (LM-Dirichlet)
 // yields a kernel whose Score is exactly +0.0.
+//
+// Positivity contract: for df >= 1 (every term the evaluation core scores)
+// each posting's Score is > 0, which the core relies on to read a zero
+// accumulator slot as "not yet touched" (EvalScratch). BM25: idf > 0 for
+// df <= N, and tf_part > 0 for k1 >= 0 and 0 <= b <= 1. TF-IDF: at least
+// qtf·log(1 + N/df). LM-Dirichlet: qtf·log(1 + tf/(mu·p)) > 0. A sum of
+// positive numbers never returns to 0. The constructors check those
+// parameter ranges. Extreme values inside them can still round a
+// contribution to 0 (a mu near 1e16 underflows the log); the core checks
+// its touched count per block, so that aborts instead of overrunning.
 #ifndef TOPPRIV_SEARCH_SCORER_H_
 #define TOPPRIV_SEARCH_SCORER_H_
 
@@ -150,8 +160,8 @@ class Bm25Scorer final : public Scorer {
     }
   };
 
-  explicit Bm25Scorer(double k1 = 1.2, double b = 0.75)
-      : Scorer(Kind::kBm25), k1_(k1), b_(b) {}
+  /// Requires a finite k1 >= 0 and 0 <= b <= 1 (the positivity contract).
+  explicit Bm25Scorer(double k1 = 1.2, double b = 0.75);
   Kernel PrepareTerm(const CollectionStats& stats, uint32_t df,
                      uint32_t qtf) const;
   double Normalize(uint32_t doc_length, double accumulated) const {
@@ -181,6 +191,7 @@ class LmDirichletScorer final : public Scorer {
     }
   };
 
+  /// Requires a finite mu > 0.
   explicit LmDirichletScorer(double mu = 1000.0);
   Kernel PrepareTerm(const CollectionStats& stats, uint32_t df,
                      uint32_t qtf) const;

@@ -190,7 +190,7 @@ size_t VarintSize(uint64_t v) {
   return n;
 }
 
-bool DecodeVarint(const std::string& buf, size_t* pos, uint64_t* v) {
+bool DecodeVarint(std::string_view buf, size_t* pos, uint64_t* v) {
   uint64_t result = 0;
   int shift = 0;
   size_t p = *pos;

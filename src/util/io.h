@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -41,10 +42,14 @@ class BinaryWriter {
   std::string buf_;
 };
 
-/// Reads values from a byte buffer; all methods fail soft via Status.
+/// Reads values from a byte buffer; all methods fail soft via Status. The
+/// reader does not own the buffer, so parsing never copies the blob: the
+/// caller keeps it alive for as long as the reader is used.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::string data) : buf_(std::move(data)) {}
+  explicit BinaryReader(std::string_view data) : buf_(data) {}
+  /// A temporary string would die before the reader is used.
+  explicit BinaryReader(std::string&& data) = delete;
 
   Status ReadU8(uint8_t* v);
   Status ReadU32(uint32_t* v);
@@ -57,7 +62,7 @@ class BinaryReader {
   Status ReadFloatVector(std::vector<float>* v);
   /// Reads a WriteFloatVector payload without copying it: `*count` floats
   /// start at `*bytes` inside the reader's buffer, at any alignment (read
-  /// them with memcpy). The view lives as long as the reader.
+  /// them with memcpy). The view lives as long as the caller's buffer.
   Status ReadFloatArray(size_t* count, const char** bytes);
   Status ReadU32Vector(std::vector<uint32_t>* v);
 
@@ -72,14 +77,14 @@ class BinaryReader {
  private:
   Status Need(size_t n);
 
-  std::string buf_;
+  std::string_view buf_;
   size_t pos_ = 0;
 };
 
 /// Varint helpers operating on raw vectors (posting-list encoding).
 void AppendVarint(uint64_t v, std::string* out);
 /// Decodes one varint at `*pos`; advances `*pos`. Returns false on overrun.
-bool DecodeVarint(const std::string& buf, size_t* pos, uint64_t* v);
+bool DecodeVarint(std::string_view buf, size_t* pos, uint64_t* v);
 /// Encoded size in bytes of AppendVarint/WriteVarint for `v` (1..10).
 size_t VarintSize(uint64_t v);
 

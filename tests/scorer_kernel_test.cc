@@ -175,6 +175,24 @@ TEST(ScorerKernelTest, LmDirichletMatchesOracleBitForBit) {
   ExpectKernelMatchesOracle(LmDirichletScorer(100.0), small_mu);
 }
 
+TEST(ScorerKernelDeathTest, ParametersOutsideThePositivityContractAbort) {
+  // The evaluation core reads a zero accumulator slot as "not yet touched",
+  // which holds only while every contribution is > 0 (scorer.h).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(Bm25Scorer(-1.0, 0.75), "CHECK failed");
+  EXPECT_DEATH(Bm25Scorer(nan, 0.75), "CHECK failed");
+  EXPECT_DEATH(Bm25Scorer(inf, 0.75), "CHECK failed");
+  EXPECT_DEATH(Bm25Scorer(1.2, -0.1), "CHECK failed");
+  EXPECT_DEATH(Bm25Scorer(1.2, 1.5), "CHECK failed");
+  EXPECT_DEATH(MakeBm25Scorer(-1.0, 0.75), "CHECK failed");
+  EXPECT_DEATH(LmDirichletScorer{0.0}, "CHECK failed");
+  EXPECT_DEATH(LmDirichletScorer{inf}, "CHECK failed");
+  // Both ends of each BM25 range are inside it.
+  EXPECT_EQ(Bm25Scorer(0.0, 0.0).kind(), Scorer::Kind::kBm25);
+  EXPECT_EQ(Bm25Scorer(0.0, 1.0).kind(), Scorer::Kind::kBm25);
+}
+
 /// True when VisitScorer hands `scorer` to its callback as an `Expected`.
 template <typename Expected>
 bool VisitsAs(const Scorer& scorer) {

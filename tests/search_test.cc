@@ -16,6 +16,7 @@
 #include "search/topk.h"
 #include "tests/scorer_oracle.h"
 #include "tests/test_helpers.h"
+#include "util/deadline.h"
 #include "util/rng.h"
 
 namespace toppriv::search {
@@ -244,7 +245,7 @@ TEST(EngineTest, MatchesBruteForceScoring) {
     const OracleScorer reference = OracleScorer::Of(engine.scorer().kind());
 
     util::Rng rng(71);
-    for (int trial = 0; trial < 10; ++trial) {
+    for (int trial = 0; trial < 11; ++trial) {
       // Random 3-term query over the vocabulary. Odd trials repeat the
       // first term twice more: qtf = 3 is the first query frequency whose
       // product does not round the same in every association order.
@@ -254,8 +255,11 @@ TEST(EngineTest, MatchesBruteForceScoring) {
             rng.UniformInt(uint64_t{world.corpus.vocabulary_size()})));
       }
       if (trial % 2 == 1) query.insert(query.end(), 2, query[0]);
-      ExpectSameBits(engine.Evaluate(query, 20),
-                     BruteForceTopK(docs, reference, query, 20),
+      // The last trial asks for every document, so every touched document
+      // must come back, each exactly once.
+      const size_t k = trial == 10 ? docs.size() : 20;
+      ExpectSameBits(engine.Evaluate(query, k),
+                     BruteForceTopK(docs, reference, query, k),
                      engine.scorer().Name() + " trial " +
                          std::to_string(trial));
     }
@@ -342,6 +346,67 @@ TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
         EXPECT_EQ(got_reused[i].doc, want[i].doc) << "trial " << trial;
         EXPECT_EQ(got_reused[i].score, want[i].score) << "trial " << trial;
       }
+    }
+  }
+}
+
+/// A clock that advances one second on every read, so a Deadline on it
+/// expires after a fixed number of polls.
+class TickClock : public util::Clock {
+ public:
+  int64_t NowNanos() const override { return 1'000'000'000 * ticks_++; }
+  void SleepFor(int64_t nanos) override { (void)nanos; }
+
+ private:
+  mutable int64_t ticks_ = 0;
+};
+
+TEST(EngineTest, AbandonedQueryLeavesTheScratchAsFresh) {
+  // A deadline abandons the query in the middle of the posting loop, with
+  // some accumulator slots already nonzero. The next query on the same
+  // scratch must read exactly what a fresh scratch reads: the all-zero
+  // accumulator is what marks a document as not yet touched.
+  const auto& world = toppriv::testing::World();
+  // The most frequent terms, so the query spans many blocks.
+  std::vector<text::TermId> by_df(world.corpus.vocabulary_size());
+  for (size_t t = 0; t < by_df.size(); ++t) {
+    by_df[t] = static_cast<text::TermId>(t);
+  }
+  std::sort(by_df.begin(), by_df.end(), [&](text::TermId a, text::TermId b) {
+    return world.index.DocFreq(a) > world.index.DocFreq(b);
+  });
+  const std::vector<text::TermId> terms(by_df.begin(), by_df.begin() + 6);
+  size_t num_blocks = 0;
+  for (text::TermId t : terms) {
+    num_blocks += world.index.Postings(t).num_blocks();
+  }
+  const std::vector<QueryTerm> query = CollapseQuery(terms);
+  std::vector<uint32_t> dfs;
+  for (const QueryTerm& qt : query) dfs.push_back(world.index.DocFreq(qt.term));
+  const CollectionStats stats = CollectionStats::Of(world.index);
+  const size_t k = world.corpus.num_documents();
+
+  for (int kind = 0; kind < 3; ++kind) {
+    const std::unique_ptr<Scorer> scorer = ScorerByKind(kind);
+    EvalScratch fresh;
+    const std::vector<ScoredDoc> want =
+        EvaluateTopK(world.index, stats, *scorer, query, dfs, k, &fresh);
+    ASSERT_FALSE(want.empty());
+    for (size_t polls : {size_t{1}, size_t{2}, size_t{3}, num_blocks / 2,
+                         num_blocks - 1, num_blocks}) {
+      const std::string what =
+          scorer->Name() + " abandoned at poll " + std::to_string(polls);
+      EvalScratch scratch;
+      TickClock clock;
+      const util::Deadline deadline =
+          util::Deadline::After(static_cast<double>(polls), &clock);
+      EXPECT_TRUE(EvaluateTopK(world.index, stats, *scorer, query, dfs, k,
+                               &scratch, nullptr, &deadline)
+                      .empty())
+          << what;
+      ExpectSameBits(
+          EvaluateTopK(world.index, stats, *scorer, query, dfs, k, &scratch),
+          want, what);
     }
   }
 }
@@ -475,6 +540,18 @@ TEST(EngineTest, Bm25NormTableFollowsALiveIndexAcrossRefresh) {
                      "static, trial " + std::to_string(trial));
     }
   }
+}
+
+TEST(EngineDeathTest, ZeroContributionsAbortInsteadOfOverrunning) {
+  // A mu this large passes the constructor but rounds every contribution
+  // to 0, so each posting appends its document again: 6 appends for 3
+  // documents. A DCHECK build stops at the loop's positivity DCHECK; the
+  // per-block check of the touched count stops every other build before
+  // the list overruns its spare slots.
+  const corpus::Corpus c = CorpusOf({{0, 1}, {0, 1}, {0, 1}});
+  const index::InvertedIndex index = index::InvertedIndex::Build(c);
+  SearchEngine engine(c, index, std::make_unique<LmDirichletScorer>(1e300));
+  EXPECT_DEATH(engine.Evaluate({0, 1}, 10), "CHECK failed");
 }
 
 TEST(EngineTest, EmptyQueryReturnsNothing) {

@@ -304,7 +304,7 @@ TEST(BinaryIoTest, RoundtripAllTypes) {
 }
 
 TEST(BinaryIoTest, ReaderOverrunReturnsDataLoss) {
-  BinaryReader r(std::string("ab"));
+  BinaryReader r(std::string_view("ab"));
   uint32_t v;
   Status s = r.ReadU32(&v);
   EXPECT_EQ(s.code(), StatusCode::kDataLoss);
